@@ -39,7 +39,6 @@ from .fsm import (
     FsmState,
     RuleSet,
     build_rules,
-    get_sub_vocab,
     initial_state,
     update_state,
 )

@@ -82,16 +82,9 @@ def ideal_bank() -> TemplateBank:
     return TemplateBank(maj=_unit(maj), min=_unit(minor), n=_unit(np.ones(12)))
 
 
-def bar_chroma(bar: GridBar) -> np.ndarray:
-    """Duration-weighted pitch-class mass of a bar's melodic notes."""
-    chroma = np.zeros(12)
-    for notes in bar.tracks.values():
-        for note in notes:
-            chroma[note.pitch % 12] += note.duration
-    return chroma
-
-
-def _region_chroma(bar: GridBar, lo: int, hi: int) -> np.ndarray:
+def bar_chroma(bar: GridBar, lo: int = 0, hi: int = N_STEPS) -> np.ndarray:
+    """Duration-weighted pitch-class mass of a bar's melodic notes whose
+    onset step lies in ``[lo, hi)``; the defaults take the whole bar."""
     chroma = np.zeros(12)
     for notes in bar.tracks.values():
         for note in notes:
@@ -120,7 +113,7 @@ def learn_templates(labeled_bars: list[tuple[GridBar, list[str]]]) -> TemplateBa
                 continue
             lo = b * N_STEPS // n_beats
             hi = (b + 1) * N_STEPS // n_beats
-            chroma = _region_chroma(bar, lo, hi)
+            chroma = bar_chroma(bar, lo, hi)
             if chroma.any():
                 accum[quality] += np.roll(chroma, -chord_root_index(symbol))
     missing = [c for c in _CLASSES if not accum[c].any()]
@@ -131,6 +124,26 @@ def learn_templates(labeled_bars: list[tuple[GridBar, list[str]]]) -> TemplateBa
     )
 
 
+# _ROTATIONS[r] indexes a template rotated up r semitones:
+# template[_ROTATIONS[r]] equals np.roll(template, r).
+_ROTATIONS = (np.arange(12) - np.arange(12)[:, None]) % 12
+_SYMBOLS = tuple(f"{ROOTS[root]}:{quality}" for quality in _CLASSES for root in range(12))
+
+
+def _detect(chromas: np.ndarray, bank: TemplateBank | None, threshold: float) -> list[str]:
+    """Detected symbol for each row of an (n, 12) chroma array."""
+    bank = bank or ideal_bank()
+    templates = np.concatenate([bank.template(q)[_ROTATIONS] for q in _CLASSES])
+    norms = np.linalg.norm(chromas, axis=1)
+    silent = norms == 0
+    scores = (chromas / np.where(silent, 1.0, norms)[:, None]) @ templates.T
+    best = np.argmax(scores > scores.max(axis=1, keepdims=True) - 1e-12, axis=1)
+    return [
+        NO_CHORD if quiet or row[k] < threshold else _SYMBOLS[k]
+        for row, k, quiet in zip(scores, best, silent)
+    ]
+
+
 def detect_chord(
     chroma: np.ndarray,
     bank: TemplateBank | None = None,
@@ -139,61 +152,41 @@ def detect_chord(
     """Best of the 24 root-rotated class templates by cosine score.
 
     Returns N for a silent chroma or when the best score falls below
-    the threshold.  Ties break toward the lower root, major before
-    minor.
+    the threshold.  Scores within 1e-12 of the best tie, and ties go to
+    the first template in the order C:maj .. B:maj, C:min .. B:min:
+    major before minor, then the lower root.
     """
-    bank = bank or ideal_bank()
-    chroma = np.asarray(chroma, dtype=float)
-    norm = float(np.linalg.norm(chroma))
-    if norm == 0:
-        return NO_CHORD
-    unit = chroma / norm
-    best_score = -np.inf
-    best_symbol = NO_CHORD
-    for quality in _CLASSES:
-        template = bank.template(quality)
-        for root in range(12):
-            score = float(np.dot(unit, np.roll(template, root)))
-            if score > best_score + 1e-12:
-                best_score = score
-                best_symbol = f"{ROOTS[root]}:{quality}"
-    if best_score < threshold:
-        return NO_CHORD
-    return best_symbol
+    return _detect(np.asarray(chroma, dtype=float)[None, :], bank, threshold)[0]
 
 
 def detect_bar_chords(song: GridSong, bank: TemplateBank | None = None) -> list[str]:
     """Detected chord symbol for every bar of a song."""
-    return [detect_chord(bar_chroma(bar), bank) for bar in song.bars]
+    chromas = np.array([bar_chroma(bar) for bar in song.bars]).reshape(-1, 12)
+    return _detect(chromas, bank, DEFAULT_THRESHOLD)
 
 
 def chord_accuracy(
     generated: list[GridSong],
-    intended: list[str],
+    progression: list[str] | tuple[str, ...],
     bank: TemplateBank | None = None,
-) -> float | None:
+) -> tuple[float | None, int]:
     """Fraction of bars whose detected chord equals the intended one.
 
-    ``intended`` lists one chord per bar and must match every song's
-    bar count.  Bars whose intended chord is N are excluded; when
-    nothing is countable the accuracy is undefined and None is
-    returned.
+    The progression loops one chord per bar: bar i of every song intends
+    ``progression[i % len(progression)]``, so a per-bar list is a loop as
+    long as the song.  Bars whose intended chord is N are excluded.
+    Returns ``(accuracy, bars_scored)``; the accuracy is None when no bar
+    was scored.
     """
-    bank = bank or ideal_bank()
+    if not progression:
+        raise ValidationError("empty chord progression")
     matched = 0
     counted = 0
     for song in generated:
-        if len(intended) != len(song.bars):
-            raise ValidationError(
-                f"schedule length {len(intended)} != bar count {len(song.bars)}"
-            )
-        detected = detect_bar_chords(song, bank)
-        for want, got in zip(intended, detected):
+        for i, got in enumerate(detect_bar_chords(song, bank)):
+            want = progression[i % len(progression)]
             if want == NO_CHORD:
                 continue
             counted += 1
-            if want == got:
-                matched += 1
-    if counted == 0:
-        return None
-    return matched / counted
+            matched += want == got
+    return (matched / counted if counted else None), counted

@@ -270,10 +270,6 @@ def _control_from_args(args, config: dict) -> ControlSpec:
     )
 
 
-def _generate_one(model, rules, control: ControlSpec | None, sampler: SamplerConfig):
-    return constrained_sample(model, rules, control, sampler)
-
-
 def _gen_worker(model_path: str, control_doc: dict | None, sampler_kwargs: dict, seed: int):
     model = load_model_file(model_path)
     control = ControlSpec.from_json(control_doc) if control_doc is not None else None
@@ -311,7 +307,7 @@ def _cmd_generate(args, config: dict) -> int:
             "temperature": float(_cfg(args, config, "temperature", 1.0)),
             "top_k": _cfg(args, config, "top_k", None),
             "top_p": _cfg(args, config, "top_p", None),
-            "max_tokens": int(_cfg(args, config, "max_tokens", 20000)),
+            "max_tokens": int(_cfg(args, config, "max_tokens", SamplerConfig.max_tokens)),
         }
         write_midi = bool(args.midi)
         write_text = bool(args.text)
@@ -426,16 +422,7 @@ def _cmd_evaluate(args, config: dict) -> int:
             raise _Usage("--chords is required for the chords evaluation")
         progression = parse_chords_arg(args.chords)
         bank = TemplateBank.load(args.bank) if args.bank else ideal_bank()
-        matched = counted = 0
-        for song in songs:
-            intended = [progression[i % len(progression)] for i in range(len(song.bars))]
-            detected = detect_bar_chords(song, bank)
-            for want, got in zip(intended, detected):
-                if want == "N":
-                    continue
-                counted += 1
-                matched += want == got
-        overall = matched / counted if counted else None
+        overall, counted = chord_accuracy(songs, progression, bank)
         doc = {
             "progression": list(progression),
             "bars_scored": counted,

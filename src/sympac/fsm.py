@@ -194,6 +194,8 @@ class ControlSpec:
             if not self.chords:
                 raise ControlError("chords must be non-empty when given")
         if self.chord_schedule is not None:
+            if not self.chord_schedule:
+                raise ControlError("chord_schedule must be non-empty when given")
             normalized = []
             for entry in self.chord_schedule:
                 try:
@@ -255,12 +257,21 @@ class ControlSpec:
                 except (TypeError, ValueError):
                     raise ControlError(f"bad bar count {bars!r} in structure") from None
             sections = parse_structure_arg(",".join(parts))
-        chords = doc.get("chords")
+
+        def entries(key: str) -> tuple | None:
+            value = doc.get(key)
+            if not value:
+                return None
+            if not isinstance(value, list):
+                raise ControlError(f"{key} must be an array")
+            return tuple(value)
+
         return cls(
             genre=doc.get("genre"),
             bpm_level=doc.get("bpm_level"),
             sections=sections,
-            chords=tuple(chords) if chords else None,
+            chords=entries("chords"),
+            chord_schedule=entries("chord_schedule"),
             allowed_tracks=(
                 frozenset(doc["tracks"]) if doc.get("tracks") is not None else None
             ),
@@ -620,20 +631,6 @@ def mask_for_state(
             state.step, f"{state.describe()} ({', '.join(expects)})", cc.describe
         )
     return mask
-
-
-def get_sub_vocab(
-    rules: RuleSet,
-    state: FsmState,
-    last_token: Token | int | None = None,
-    control: ControlSpec | _CompiledControl | None = None,
-) -> np.ndarray:
-    """Legal sub-vocabulary after ``last_token`` was consumed into ``state``.
-
-    ``last_token`` is accepted for signature compatibility with the
-    decoding loop; the state alone determines the mask.
-    """
-    return mask_for_state(rules, state, control)
 
 
 def _close_bar(state: FsmState) -> None:

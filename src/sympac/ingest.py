@@ -219,14 +219,19 @@ def _field(doc: dict, key: str, default):
     return value
 
 
-def _parse_pairs(raw, key: str, arity: int):
+def _parse_rows(doc: dict, key: str, types: tuple) -> list[tuple]:
+    """Rows of array ``key``, each value converted by its column's type."""
+    raw = _field(doc, key, [])
     if not isinstance(raw, list):
         raise ParseError(f"{key}: expected an array")
     out = []
     for i, row in enumerate(raw):
-        if not isinstance(row, (list, tuple)) or len(row) != arity:
-            raise ParseError(f"{key}[{i}]: expected an array of {arity} values")
-        out.append(row)
+        if not isinstance(row, (list, tuple)) or len(row) != len(types):
+            raise ParseError(f"{key}[{i}]: expected an array of {len(types)} values")
+        try:
+            out.append(tuple(convert(value) for convert, value in zip(types, row)))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"{key}[{i}]: {exc}") from None
     return out
 
 
@@ -234,7 +239,8 @@ def parse_annotations(data: bytes | str) -> AnnotatedSong:
     """Parse one annotation JSON document into a validated AnnotatedSong.
 
     Unknown top-level fields are ignored.  Malformed JSON raises
-    ParseError with line context; invariant violations raise
+    ParseError with line context, and so does a row value that does not
+    convert to its field's type; invariant violations raise
     ValidationError naming the first offending element.
     """
     if isinstance(data, bytes):
@@ -251,24 +257,15 @@ def parse_annotations(data: bytes | str) -> AnnotatedSong:
     if not isinstance(genre, str):
         raise ParseError("genre: missing or not a string")
 
-    beats = [
-        BeatEvent(float(t), int(c))
-        for t, c in _parse_pairs(_field(doc, "beats", []), "beats", 2)
-    ]
-    chords = [
-        ChordSpan(float(s), float(e), str(sym))
-        for s, e, sym in _parse_pairs(_field(doc, "chords", []), "chords", 3)
-    ]
+    beats = [BeatEvent(*row) for row in _parse_rows(doc, "beats", (float, int))]
+    chords = [ChordSpan(*row) for row in _parse_rows(doc, "chords", (float, float, str))]
     sections = [
-        SectionSpan(float(s), float(e), _SECTION_ALIASES.get(str(lb), str(lb)))
-        for s, e, lb in _parse_pairs(_field(doc, "sections", []), "sections", 3)
+        SectionSpan(s, e, _SECTION_ALIASES.get(lb, lb))
+        for s, e, lb in _parse_rows(doc, "sections", (float, float, str))
     ]
 
     def notes_of(key: str) -> list[NoteEvent]:
-        return [
-            NoteEvent(float(on), float(off), int(p))
-            for on, off, p in _parse_pairs(_field(doc, key, []), key, 3)
-        ]
+        return [NoteEvent(*row) for row in _parse_rows(doc, key, (float, float, int))]
 
     song = AnnotatedSong(
         source_id=str(source_id),
@@ -278,10 +275,7 @@ def parse_annotations(data: bytes | str) -> AnnotatedSong:
         sections=sections,
         vocal_notes=notes_of("vocal"),
         inst_notes={k: notes_of(k) for k in ("piano", "guitar", "bass")},
-        drum_hits=[
-            DrumHit(float(on), int(k))
-            for on, k in _parse_pairs(_field(doc, "drums", []), "drums", 2)
-        ],
+        drum_hits=[DrumHit(*row) for row in _parse_rows(doc, "drums", (float, int))],
     )
     validate_song(song)
     return song

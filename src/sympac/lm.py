@@ -23,15 +23,6 @@ DEFAULT_ORDER = 5
 DEFAULT_DISCOUNT = 0.5
 MAX_ORDER = 8
 
-# Reference scale for a future neural backend behind NextTokenModel.
-# Recorded here as configuration only; nothing in this package uses them.
-NEURAL_BACKEND_DEFAULTS = {
-    "context_window": 10_240,
-    "layers": 12,
-    "attention_heads": 12,
-    "embedding_dim": 768,
-}
-
 
 class NextTokenModel(Protocol):
     """Anything that scores the next token given a context."""

@@ -18,8 +18,8 @@ from .fsm import (
     ControlSpec,
     RuleSet,
     compile_control,
-    get_sub_vocab,
     initial_state,
+    mask_for_state,
     update_state,
 )
 from .lm import NextTokenModel
@@ -33,7 +33,7 @@ class SamplerConfig:
     temperature: float = 1.0
     top_k: int | None = None
     top_p: float | None = None
-    max_tokens: int = 2000
+    max_tokens: int = 20000
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -110,7 +110,7 @@ def constrained_sample(
     while not state.terminal:
         if len(seq) >= config.max_tokens:
             return SampleResult(seq, truncated=True)
-        mask = get_sub_vocab(rules, state, seq[-1], cc)
+        mask = mask_for_state(rules, state, cc)
         scores = model.score(seq)
         probs = renormalize(scores, mask, config.temperature, config.top_k, config.top_p)
         token = _draw(rng, probs)

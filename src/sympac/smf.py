@@ -110,8 +110,9 @@ def _read_track_events(reader: _Reader):
 
 
 class _TempoMap:
-    def __init__(self, changes: list[tuple[int, int]]):
+    def __init__(self, changes: list[tuple[int, int]], tpq: int):
         # (tick, us_per_quarter), always anchored at tick 0.
+        self._tpq = tpq
         merged = {0: _DEFAULT_TEMPO}
         for tick, tempo in sorted(changes):
             merged[tick] = tempo
@@ -123,15 +124,6 @@ class _TempoMap:
             self.times.append(
                 self.times[-1] + dt * self.tempos[i - 1] / (1e6 * self._tpq)
             )
-
-    _tpq = _TPQ
-
-    @classmethod
-    def with_tpq(cls, changes, tpq):
-        obj = cls.__new__(cls)
-        obj._tpq = tpq
-        cls.__init__(obj, changes)
-        return obj
 
     def seconds(self, tick: int) -> float:
         i = bisect.bisect_right(self.ticks, tick) - 1
@@ -238,7 +230,7 @@ def import_smf(data: bytes, source_id: str = "", genre: str = "Pop") -> Annotate
             raise ValidationError(f"time signature {num}/{den} is not supported")
         meter = num
 
-    tempo_map = _TempoMap.with_tpq(tempo_changes, tpq)
+    tempo_map = _TempoMap(tempo_changes, tpq)
 
     n_beats = -(-last_tick // tpq)  # ceil
     n_beats = max(n_beats, 1)

@@ -273,23 +273,43 @@ def boundary_hit_rate(
     return _f_measure(hits / len(est_b), hits / len(ref_b))
 
 
+def _contingency(est: StructureEstimate, ref: StructureEstimate) -> np.ndarray:
+    """Frame counts over the shared duration at FRAME_SECONDS (at least
+    one frame): one row per reference class present, one column per
+    estimated class present."""
+    n = max(int(round(min(est.duration, ref.duration) / FRAME_SECONDS)), 1)
+    _, ref_idx = np.unique(_frame_labels(ref, n), return_inverse=True)
+    _, est_idx = np.unique(_frame_labels(est, n), return_inverse=True)
+    rows, cols = ref_idx.max() + 1, est_idx.max() + 1
+    return np.bincount(ref_idx * cols + est_idx, minlength=rows * cols).reshape(rows, cols)
+
+
 def pairwise_f(est: StructureEstimate, ref: StructureEstimate) -> float:
-    """Pairwise frame-clustering F-measure at the standard frame rate."""
-    n = int(round(min(est.duration, ref.duration) / FRAME_SECONDS))
+    """Pairwise frame-clustering F-measure at the standard frame rate.
+
+    A frame pair agrees on a side when both frames carry the same class
+    there; a class of k frames holds k(k-1)/2 such pairs.
+    """
+    table = _contingency(est, ref)
+    n = int(table.sum())
     if n < 2:
         return 1.0 if est.labels == ref.labels else 0.0
-    y_est = _frame_labels(est, n)
-    y_ref = _frame_labels(ref, n)
-    agree_est = np.equal.outer(y_est, y_est)
-    agree_ref = np.equal.outer(y_ref, y_ref)
-    n_est = (agree_est.sum() - n) / 2.0
-    n_ref = (agree_ref.sum() - n) / 2.0
-    n_both = (np.logical_and(agree_est, agree_ref).sum() - n) / 2.0
+    n_both = (np.sum(table**2) - n) / 2.0
+    n_est = (np.sum(table.sum(axis=0) ** 2) - n) / 2.0
+    n_ref = (np.sum(table.sum(axis=1) ** 2) - n) / 2.0
     if n_est == 0 and n_ref == 0:
         return 1.0
     if n_est == 0 or n_ref == 0:
         return 0.0
     return _f_measure(n_both / n_est, n_both / n_ref)
+
+
+def _cond_entropy(joint: np.ndarray) -> float:
+    """H(row class | column class) in bits of a joint distribution whose
+    columns all carry mass."""
+    ratio = joint / joint.sum(axis=0)
+    present = joint > 0
+    return float(-np.sum(joint[present] * np.log2(ratio[present])))
 
 
 def entropy_scores_f(est: StructureEstimate, ref: StructureEstimate) -> float:
@@ -300,38 +320,13 @@ def entropy_scores_f(est: StructureEstimate, ref: StructureEstimate) -> float:
     single-class side facing a non-trivial one.  When both sides are
     single-class the estimates agree perfectly and the score is 1.
     """
-    n = int(round(min(est.duration, ref.duration) / FRAME_SECONDS))
-    n = max(n, 1)
-    y_est = _frame_labels(est, n)
-    y_ref = _frame_labels(ref, n)
-    n_ref_classes = len(np.unique(y_ref))
-    n_est_classes = len(np.unique(y_est))
+    table = _contingency(est, ref)
+    n_ref_classes, n_est_classes = table.shape
     if n_ref_classes == 1 and n_est_classes == 1:
         return 1.0
-
-    contingency = np.zeros((n_ref_classes, n_est_classes))
-    ref_index = {c: i for i, c in enumerate(np.unique(y_ref))}
-    est_index = {c: i for i, c in enumerate(np.unique(y_est))}
-    for a, b in zip(y_ref, y_est):
-        contingency[ref_index[a], est_index[b]] += 1
-    contingency /= n
-    p_ref = contingency.sum(axis=1)
-    p_est = contingency.sum(axis=0)
-
-    def cond_entropy(joint: np.ndarray, marginal: np.ndarray) -> float:
-        total = 0.0
-        for j in range(joint.shape[1]):
-            column = joint[:, j]
-            mass = column.sum()
-            if mass <= 0:
-                continue
-            p = column / mass
-            entropy = -np.sum(p[p > 0] * np.log2(p[p > 0]))
-            total += mass * entropy
-        return total
-
-    h_ref_given_est = cond_entropy(contingency, p_est)  # columns are est classes
-    h_est_given_ref = cond_entropy(contingency.T, p_ref)
+    joint = table / table.sum()
+    h_ref_given_est = _cond_entropy(joint)  # rows are reference classes
+    h_est_given_ref = _cond_entropy(joint.T)
     s_under = (
         1.0 - h_ref_given_est / math.log2(n_ref_classes) if n_ref_classes > 1 else 0.0
     )

@@ -199,7 +199,7 @@ def test_criterion_4_chord_realization_trend(synthetic_split):
             bars=[chord_following_bar(sym, "verse", 4) for sym in intended],
         )
     )
-    assert chord_accuracy(ideal_songs, intended, bank) == 1.0
+    assert chord_accuracy(ideal_songs, intended, bank) == (1.0, len(intended))
     report(f"4 chord-realization trend (n-gram accuracy {accuracy:.3f}, ideal 1.000)")
 
 

@@ -13,7 +13,7 @@ from sympac.chroma import (
 from sympac.errors import ValidationError
 from sympac.ingest import GridBar, GridNote, GridSong
 from sympac.vocab import ROOTS
-from synthcorpus import chord_following_bar, triad
+from synthcorpus import chord_following_bar, random_grid_song, triad
 
 
 def bar_with_pitch_classes(classes, duration=4):
@@ -154,9 +154,11 @@ def test_chord_accuracy_on_ideal_input():
     intended = ["C:maj", "G:maj", "A:min", "F:maj"]
     song = GridSong(
         source_id="s", genre="Pop",
-        bars=[chord_following_bar(sym, "verse", 4) for sym in intended],
+        bars=[chord_following_bar(sym, "verse", 4) for sym in intended * 2],
     )
-    assert chord_accuracy([song, song], intended) == 1.0
+    # a per-bar list and the progression looped over the song score alike
+    assert chord_accuracy([song, song], intended * 2) == (1.0, 16)
+    assert chord_accuracy([song, song], intended) == (1.0, 16)
 
 
 def test_chord_accuracy_excludes_no_chord_bars():
@@ -166,22 +168,22 @@ def test_chord_accuracy_excludes_no_chord_bars():
         bars=[chord_following_bar("C:maj", "verse", 4),
               GridBar("verse", 4, [], {}, [])],
     )
-    assert chord_accuracy([song], intended) == 1.0
+    assert chord_accuracy([song], intended) == (1.0, 1)
 
 
 def test_chord_accuracy_all_excluded_is_undefined():
     song = GridSong(
         source_id="s", genre="Pop", bars=[GridBar("verse", 4, [], {}, [])]
     )
-    assert chord_accuracy([song], ["N"]) is None
+    assert chord_accuracy([song], ["N"]) == (None, 0)
 
 
-def test_chord_accuracy_schedule_mismatch():
+def test_chord_accuracy_empty_progression():
     song = GridSong(
         source_id="s", genre="Pop", bars=[GridBar("verse", 4, [], {}, [])]
     )
-    with pytest.raises(ValidationError, match="length"):
-        chord_accuracy([song], ["C:maj", "G:maj"])
+    with pytest.raises(ValidationError, match="empty"):
+        chord_accuracy([song], [])
 
 
 def test_detect_bar_chords_runs_per_bar():
@@ -191,3 +193,13 @@ def test_detect_bar_chords_runs_per_bar():
               chord_following_bar("G:min", "verse", 4)],
     )
     assert detect_bar_chords(song) == ["C:maj", "G:min"]
+
+
+def test_detect_bar_chords_matches_per_bar_detection():
+    rng = np.random.default_rng(83)
+    song = GridSong(
+        source_id="s", genre="Pop",
+        bars=[random_grid_song(rng).bars[0] for _ in range(30)],
+    )
+    assert detect_bar_chords(song) == [detect_chord(bar_chroma(bar)) for bar in song.bars]
+    assert detect_bar_chords(GridSong(source_id="e", genre="Pop", bars=[])) == []

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sympac.encoding import decode_sequence, encode_song, validate
 from sympac.errors import ConstraintConflictError, ControlError
@@ -7,7 +8,6 @@ from sympac.fsm import (
     ControlSpec,
     build_rules,
     compile_control,
-    get_sub_vocab,
     initial_state,
     mask_for_state,
     parse_chords_arg,
@@ -17,9 +17,13 @@ from sympac.fsm import (
 )
 from sympac.vocab import (
     BAR_ID,
+    BPM_LABELS,
+    CHORDS,
     EOS_ID,
     GENRE_BASE,
     GENRES,
+    SECTIONS,
+    TRACKS,
     build_vocab,
     genre_id,
     track_id,
@@ -35,7 +39,7 @@ def uniform_walk(rng, control=None, max_tokens=4000):
     cc = compile_control(control)
     seq = [BAR_ID]
     while not state.terminal and len(seq) < max_tokens:
-        mask = get_sub_vocab(RULES, state, seq[-1], cc)
+        mask = mask_for_state(RULES, state, cc)
         ids = np.flatnonzero(mask)
         token = int(ids[rng.integers(len(ids))])
         seq.append(token)
@@ -53,7 +57,7 @@ def test_initial_state_expects_genre():
 
 def test_fixed_genre_gives_singleton_first_mask():
     state = initial_state(ControlSpec(genre="Rock"))
-    mask = get_sub_vocab(RULES, state, BAR_ID, ControlSpec(genre="Rock"))
+    mask = mask_for_state(RULES, state, ControlSpec(genre="Rock"))
     assert np.flatnonzero(mask).tolist() == [genre_id("Rock")]
 
 
@@ -223,7 +227,7 @@ def test_full_control_pins_whole_prompt():
     forced_prefix = []
     seq = [BAR_ID]
     while True:
-        mask = get_sub_vocab(RULES, state, seq[-1], cc)
+        mask = mask_for_state(RULES, state, cc)
         ids = np.flatnonzero(mask)
         if len(ids) > 1:
             break
@@ -285,6 +289,56 @@ def test_control_json_round_trip():
     )
     again = ControlSpec.from_json(spec.to_json())
     assert again == spec
+
+
+@st.composite
+def control_specs(draw):
+    sections = draw(st.none() | st.lists(st.sampled_from(SECTIONS), min_size=1, max_size=12))
+    if sections is not None:
+        n_bars = draw(st.sampled_from([None, len(sections)]))
+    else:
+        n_bars = draw(st.none() | st.integers(1, 12))
+    total = n_bars or (len(sections) if sections else 12)
+    chords = schedule = None
+    kind = draw(st.sampled_from(["none", "loop", "schedule"]))
+    if kind == "loop":
+        chords = tuple(draw(st.lists(st.sampled_from(CHORDS), min_size=1, max_size=6)))
+    elif kind == "schedule":
+        slots = draw(
+            st.dictionaries(
+                st.tuples(st.integers(0, total - 1), st.integers(0, 15)),
+                st.sampled_from(CHORDS),
+                min_size=1,
+                max_size=8,
+            )
+        )
+        schedule = tuple((bar, step, symbol) for (bar, step), symbol in slots.items())
+    allowed = draw(st.none() | st.frozensets(st.sampled_from(TRACKS)))
+    forced_pool = sorted(allowed, key=TRACKS.index) if allowed is not None else TRACKS
+    forced = draw(st.none() | st.frozensets(st.sampled_from(forced_pool))) if forced_pool else None
+    return ControlSpec(
+        genre=draw(st.none() | st.sampled_from(GENRES)),
+        bpm_level=draw(st.none() | st.integers(0, len(BPM_LABELS) - 1)),
+        sections=tuple(sections) if sections is not None else None,
+        chords=chords,
+        chord_schedule=schedule,
+        allowed_tracks=allowed,
+        forced_tracks=forced,
+        n_bars=n_bars,
+    )
+
+
+@given(control_specs())
+def test_control_json_round_trip_property(spec):
+    assert ControlSpec.from_json(spec.to_json()) == spec
+
+
+def test_control_json_rejects_non_array_chords():
+    for key in ("chords", "chord_schedule"):
+        with pytest.raises(ControlError, match=key):
+            ControlSpec.from_json({key: 5})
+    with pytest.raises(ControlError, match="non-empty"):
+        ControlSpec(chord_schedule=(), n_bars=2)
 
 
 def test_genre_locks_after_first_bar():

@@ -58,6 +58,19 @@ def test_parse_malformed_json_reports_line():
         parse_annotations(b"{broken")
 
 
+@pytest.mark.parametrize(
+    "data, where",
+    [
+        (_doc(beats=[["x", 1]]), r"beats\[0\]"),
+        (_doc(vocal=[[0.0, 1.0, None]]), r"vocal\[0\]"),
+        ('{"genre": "Pop", "drums": [[0.0, 1e400]]}', r"drums\[0\]"),
+    ],
+)
+def test_parse_rejects_unconvertible_values(data, where):
+    with pytest.raises(ParseError, match=where):
+        parse_annotations(data)
+
+
 def test_parse_ignores_unknown_fields():
     song = parse_annotations(_doc(extra_field={"x": 1}))
     assert song.source_id == "t"

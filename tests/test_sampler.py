@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from sympac.encoding import decode_sequence, validate
-from sympac.fsm import ControlSpec, build_rules
+from sympac.encoding import decode_sequence, encode_song, validate
+from sympac.fsm import ControlSpec, build_rules, parse_chords_arg, parse_structure_arg
 from sympac.lm import UniformModel, train_ngram
 from sympac.sampler import SamplerConfig, SampleResult, constrained_sample, renormalize
 from sympac.vocab import VOCAB_SIZE
+from synthcorpus import chord_corpus
 
 RULES = build_rules()
 
@@ -121,6 +122,21 @@ def test_truncation_flag():
         UniformModel(), RULES, None, SamplerConfig(rng_seed=1, max_tokens=5)
     )
     assert result.truncated and len(result.tokens) == 5
+
+
+def test_default_config_fits_a_controlled_24_bar_song():
+    # a 24-bar song under chord and structure controls runs to about
+    # 2,400 tokens, so the default max_tokens must not cut it short
+    corpus = [encode_song(song) for song in chord_corpus(np.random.default_rng(0), 12)]
+    model = train_ngram(corpus, order=5)
+    control = ControlSpec(
+        genre="Pop",
+        sections=parse_structure_arg("intro*4,verse*8,chorus*8,outro*4"),
+        chords=parse_chords_arg("F,C,G,A:min"),
+    )
+    result = constrained_sample(model, RULES, control, SamplerConfig())
+    assert not result.truncated
+    assert len(decode_sequence(result.tokens).bars) == 24
 
 
 def test_config_validation():

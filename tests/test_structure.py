@@ -1,9 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sympac.ingest import GridBar, GridNote, GridSong
 from sympac.structure import (
+    FRAME_SECONDS,
     StructureEstimate,
+    _f_measure,
+    _frame_labels,
     beat_sync_features,
     boundary_hit_rate,
     entropy_scores_f,
@@ -236,3 +242,91 @@ def test_foote_finds_all_seams_of_permuted_blocks():
     c = blocky_features([(16, (80, 81))])
     feats = np.vstack([a, b, c, b])
     assert foote_boundaries(feats, kernel_width=8) == [0, 16, 32, 48, 64]
+
+
+def reference_pairwise_f(est, ref):
+    """Pairwise F from explicit n x n frame-agreement matrices."""
+    n = int(round(min(est.duration, ref.duration) / FRAME_SECONDS))
+    if n < 2:
+        return 1.0 if est.labels == ref.labels else 0.0
+    y_est = _frame_labels(est, n)
+    y_ref = _frame_labels(ref, n)
+    agree_est = np.equal.outer(y_est, y_est)
+    agree_ref = np.equal.outer(y_ref, y_ref)
+    n_est = (agree_est.sum() - n) / 2.0
+    n_ref = (agree_ref.sum() - n) / 2.0
+    n_both = (np.logical_and(agree_est, agree_ref).sum() - n) / 2.0
+    if n_est == 0 and n_ref == 0:
+        return 1.0
+    if n_est == 0 or n_ref == 0:
+        return 0.0
+    return _f_measure(n_both / n_est, n_both / n_ref)
+
+
+def reference_entropy_scores_f(est, ref):
+    """Conditional-entropy F from a contingency table filled frame by
+    frame and entropies summed column by column."""
+    n = max(int(round(min(est.duration, ref.duration) / FRAME_SECONDS)), 1)
+    y_est = _frame_labels(est, n)
+    y_ref = _frame_labels(ref, n)
+    ref_classes = np.unique(y_ref)
+    est_classes = np.unique(y_est)
+    if len(ref_classes) == 1 and len(est_classes) == 1:
+        return 1.0
+    ref_index = {c: i for i, c in enumerate(ref_classes)}
+    est_index = {c: i for i, c in enumerate(est_classes)}
+    joint = np.zeros((len(ref_classes), len(est_classes)))
+    for a, b in zip(y_ref, y_est):
+        joint[ref_index[a], est_index[b]] += 1
+    joint /= n
+
+    def cond_entropy(table):
+        total = 0.0
+        for j in range(table.shape[1]):
+            column = table[:, j]
+            mass = column.sum()
+            if mass <= 0:
+                continue
+            p = column / mass
+            total += mass * -np.sum(p[p > 0] * np.log2(p[p > 0]))
+        return total
+
+    s_under = (
+        1.0 - cond_entropy(joint) / math.log2(len(ref_classes))
+        if len(ref_classes) > 1 else 0.0
+    )
+    s_over = (
+        1.0 - cond_entropy(joint.T) / math.log2(len(est_classes))
+        if len(est_classes) > 1 else 0.0
+    )
+    return _f_measure(s_over, s_under)
+
+
+@st.composite
+def segmentations(draw, duration):
+    inner = draw(
+        st.lists(st.floats(0.0, duration, exclude_min=True, exclude_max=True), max_size=8)
+    )
+    boundaries = (0.0, *sorted(set(inner)), duration)
+    labels = draw(
+        st.lists(st.sampled_from("abcd"), min_size=len(boundaries) - 1,
+                 max_size=len(boundaries) - 1)
+    )
+    return StructureEstimate(boundaries, tuple(labels))
+
+
+@st.composite
+def segmentation_pairs(draw):
+    # Durations down to a fraction of a frame reach the n < 2 rule; the
+    # second side may run longer, so only the shared span is scored.
+    duration = draw(st.sampled_from([0.04, 0.1, 0.15, 1.0]) | st.floats(0.2, 90.0))
+    extra = draw(st.sampled_from([0.0, 0.0, 0.05, 2.5]))
+    return draw(segmentations(duration)), draw(segmentations(duration + extra))
+
+
+@settings(max_examples=300, deadline=None)
+@given(segmentation_pairs())
+def test_contingency_scores_match_frame_references(pair):
+    est, ref = pair
+    assert pairwise_f(est, ref) == reference_pairwise_f(est, ref)
+    assert abs(entropy_scores_f(est, ref) - reference_entropy_scores_f(est, ref)) <= 1e-12
