@@ -270,9 +270,20 @@ def _control_from_args(args, config: dict) -> ControlSpec:
     )
 
 
-def _gen_worker(model_path: str, control_doc: dict | None, sampler_kwargs: dict, seed: int):
-    model = load_model_file(model_path)
+# What one `generate --jobs N` worker process samples with, set once by
+# _gen_init, so the model is loaded (and its score cache warmed) once per
+# worker rather than once per sample.
+_worker_run: tuple | None = None
+
+
+def _gen_init(model_path: str, control_doc: dict | None, sampler_kwargs: dict) -> None:
+    global _worker_run
     control = ControlSpec.from_json(control_doc) if control_doc is not None else None
+    _worker_run = (load_model_file(model_path), control, sampler_kwargs)
+
+
+def _gen_worker(seed: int) -> tuple[list[int], bool]:
+    model, control, sampler_kwargs = _worker_run
     config = SamplerConfig(rng_seed=seed, **sampler_kwargs)
     result = constrained_sample(model, build_rules(), control, config)
     return result.tokens, result.truncated
@@ -291,10 +302,18 @@ def _cmd_generate(args, config: dict) -> int:
             n_samples = run["n_samples"]
             seed = run["seed"]
             model_path = run["model"]
+            model_sha256 = run["model_sha256"]
             write_midi = run["midi"]
             write_text = run["text"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise _Usage(f"manifest {args.from_manifest}: {exc!r}") from None
+        if _sha256(Path(model_path)) != model_sha256:
+            print(
+                f"error: model {model_path} is not the model the manifest recorded "
+                "(SHA-256 differs); refusing to rerun",
+                file=sys.stderr,
+            )
+            return EXIT_DATA
     else:
         if not args.model:
             raise _Usage("--model is required (or --from-manifest)")
@@ -323,12 +342,12 @@ def _cmd_generate(args, config: dict) -> int:
     outputs = []
     results: list[tuple[list[int], bool]] = []
     if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_gen_worker, str(model_path), control_doc, sampler_kwargs, seed + i)
-                for i in range(n_samples)
-            ]
-            results = [f.result() for f in futures]
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=jobs,
+            initializer=_gen_init,
+            initargs=(str(model_path), control_doc, sampler_kwargs),
+        ) as pool:
+            results = list(pool.map(_gen_worker, range(seed, seed + n_samples)))
     else:
         for i in range(n_samples):
             cfg = SamplerConfig(rng_seed=seed + i, **sampler_kwargs)

@@ -59,6 +59,7 @@ MAX_NOTES_PER_PART = 128
 _N_DRUMS = VOCAB_SIZE - DRUM_BASE
 _DRUMS_TRACK = len(TRACKS) - 1
 _ALL_TRACKS_MASK = (1 << len(TRACKS)) - 1
+_MASK_BYTES = (VOCAB_SIZE + 7) // 8
 
 # Decoding phases.
 (
@@ -106,6 +107,15 @@ def _canonical_chord(text) -> str:
         return normalize_chord_symbol(str(text))
     except ValueError as exc:
         raise ControlError(str(exc)) from None
+
+
+def _whole(value) -> int:
+    """``value`` as an int when it is a whole number; ValueError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
 
 
 def parse_chords_arg(text: str) -> tuple[str, ...]:
@@ -200,10 +210,11 @@ class ControlSpec:
             for entry in self.chord_schedule:
                 try:
                     bar, step, symbol = entry
-                    bar, step = int(bar), int(step)
+                    bar, step = _whole(bar), _whole(step)
                 except (TypeError, ValueError):
                     raise ControlError(
-                        f"chord_schedule entries must be (bar, step, symbol), got {entry!r}"
+                        f"chord_schedule entries must be (bar, step, symbol) with whole "
+                        f"bar and step numbers, got {entry!r}"
                     ) from None
                 if bar < 0:
                     raise ControlError(f"chord_schedule bar must be >= 0, got {bar}")
@@ -228,7 +239,10 @@ class ControlSpec:
         for name in ("allowed_tracks", "forced_tracks"):
             value = getattr(self, name)
             if value is not None:
-                value = frozenset(value)
+                try:
+                    value = frozenset(value)
+                except TypeError:
+                    raise ControlError(f"{name} must be a collection of track names") from None
                 object.__setattr__(self, name, value)
                 for label in value:
                     if label not in TRACKS:
@@ -253,8 +267,8 @@ class ControlSpec:
                     raise ControlError("structure entries must be [label, bars] pairs")
                 label, bars = entry
                 try:
-                    parts.append(f"{label}*{int(bars)}")
-                except (TypeError, ValueError):
+                    parts.append(f"{label}*{_whole(bars)}")
+                except ValueError:
                     raise ControlError(f"bad bar count {bars!r} in structure") from None
             sections = parse_structure_arg(",".join(parts))
 
@@ -266,20 +280,22 @@ class ControlSpec:
                 raise ControlError(f"{key} must be an array")
             return tuple(value)
 
+        def tracks(key: str) -> list | None:
+            value = doc.get(key)
+            if value is None:
+                return None
+            if not isinstance(value, list):
+                raise ControlError(f"{key} must be an array")
+            return value
+
         return cls(
             genre=doc.get("genre"),
             bpm_level=doc.get("bpm_level"),
             sections=sections,
             chords=entries("chords"),
             chord_schedule=entries("chord_schedule"),
-            allowed_tracks=(
-                frozenset(doc["tracks"]) if doc.get("tracks") is not None else None
-            ),
-            forced_tracks=(
-                frozenset(doc["forced_tracks"])
-                if doc.get("forced_tracks") is not None
-                else None
-            ),
+            allowed_tracks=tracks("tracks"),
+            forced_tracks=tracks("forced_tracks"),
             n_bars=doc.get("n_bars"),
         )
 
@@ -435,8 +451,22 @@ class FsmState:
 
     def clone(self) -> "FsmState":
         other = FsmState.__new__(FsmState)
-        for name in FsmState.__slots__:
-            setattr(other, name, getattr(self, name))
+        other.phase = self.phase
+        other.in_prompt = self.in_prompt
+        other.bar_index = self.bar_index
+        other.step = self.step
+        other.last_position = self.last_position
+        other.current_track = self.current_track
+        other.tracks_emitted = self.tracks_emitted
+        other.group_count = self.group_count
+        other.last_pitch = self.last_pitch
+        other.last_drum = self.last_drum
+        other.genre = self.genre
+        other.cur_sec = self.cur_sec
+        other.cur_bpm = self.cur_bpm
+        other.cur_chords = self.cur_chords
+        other.prompt_bars = self.prompt_bars
+        other.bars_total = self.bars_total
         return other
 
     @property
@@ -455,32 +485,33 @@ class FsmState:
         return f"<FsmState step={self.step} {self.describe()}>"
 
 
+def _block(base: int, count: int) -> int:
+    """Bitmask of the ``count`` ids starting at ``base``."""
+    return ((1 << count) - 1) << base
+
+
 class RuleSet:
-    """Grammar productions compiled to reusable vocabulary masks."""
+    """Grammar productions compiled to integer bitmasks over the vocabulary
+    (bit ``i`` set means id ``i`` is legal), plus a cache from each mask
+    seen to its sorted id array."""
 
     def __init__(self):
-        size = VOCAB_SIZE
-        self.empty = np.zeros(size, dtype=bool)
+        self.genres = _block(GENRE_BASE, len(GENRES))
+        self.secs = _block(SEC_BASE, len(SECTIONS))
+        self.bpms = _block(BPM_BASE, len(BPM_LABELS))
+        self.chords = _block(CHORD_BASE, len(CHORDS))
+        self.durations = _block(DUR_BASE, MAX_DURATION)
+        self._ids: dict[int, np.ndarray] = {}
 
-        def block(base: int, count: int) -> np.ndarray:
-            m = np.zeros(size, dtype=bool)
-            m[base : base + count] = True
-            return m
-
-        self.genres = block(GENRE_BASE, len(GENRES))
-        self.secs = block(SEC_BASE, len(SECTIONS))
-        self.bpms = block(BPM_BASE, len(BPM_LABELS))
-        self.chords = block(CHORD_BASE, len(CHORDS))
-        self.durations = block(DUR_BASE, MAX_DURATION)
-        self.pitches = block(PITCH_BASE, N_PITCHES)
-        self.drums = block(DRUM_BASE, _N_DRUMS)
-
-        # pos_from[k]: positions with step >= k (k = 16 is empty).
-        self.pos_from = [block(POS_BASE + k, N_STEPS - k) for k in range(N_STEPS + 1)]
-        self.pitch_from = [
-            block(PITCH_BASE + k, N_PITCHES - k) for k in range(N_PITCHES + 1)
-        ]
-        self.drum_from = [block(DRUM_BASE + k, _N_DRUMS - k) for k in range(_N_DRUMS + 1)]
+    def ids_of(self, bits: int) -> np.ndarray:
+        """Ascending, read-only int64 ids of the set bits; cached per mask."""
+        ids = self._ids.get(bits)
+        if ids is None:
+            packed = np.frombuffer(bits.to_bytes(_MASK_BYTES, "little"), dtype=np.uint8)
+            ids = np.flatnonzero(np.unpackbits(packed, bitorder="little"))
+            ids.flags.writeable = False
+            self._ids[bits] = ids
+        return ids
 
 
 @lru_cache(maxsize=1)
@@ -521,14 +552,94 @@ def _bar_end_ids(state: FsmState, cc: _CompiledControl) -> tuple[int, ...]:
     return (EOS_ID,)
 
 
-def _exits_into(mask: np.ndarray, state: FsmState, cc: _CompiledControl) -> None:
-    candidates = _track_candidates(state, cc)
-    while candidates:
-        t = (candidates & -candidates).bit_length() - 1
-        mask[TRACK_BASE + t] = True
-        candidates &= candidates - 1
+def _exits(state: FsmState, cc: _CompiledControl) -> int:
+    """Bits of the tokens that leave the current part: a next track or a bar end."""
+    bits = _track_candidates(state, cc) << TRACK_BASE
     for tid in _bar_end_ids(state, cc):
-        mask[tid] = True
+        bits |= 1 << tid
+    return bits
+
+
+def _legal_bits(rules: RuleSet, state: FsmState, cc: _CompiledControl) -> int:
+    """Bitmask of the tokens legal in ``state``; 0 when the controls leave none."""
+    ph = state.phase
+    if ph == PH_BAR:
+        return 1 << BAR_ID
+    if ph == PH_GENRE:
+        if state.genre >= 0:
+            return 1 << (GENRE_BASE + state.genre)
+        if cc.genre_idx >= 0:
+            return 1 << (GENRE_BASE + cc.genre_idx)
+        return rules.genres
+    if ph == PH_SEC:
+        if not state.in_prompt:
+            return 1 << (SEC_BASE + state.prompt_bars[state.bar_index].sec)
+        if cc.sec_ids is not None and state.bar_index < len(cc.sec_ids):
+            return 1 << (SEC_BASE + cc.sec_ids[state.bar_index])
+        return rules.secs
+    if ph == PH_BPM:
+        if not state.in_prompt:
+            return 1 << (BPM_BASE + state.prompt_bars[state.bar_index].bpm)
+        if cc.bpm_idx >= 0:
+            return 1 << (BPM_BASE + cc.bpm_idx)
+        return rules.bpms
+    if ph == PH_CHORD_POS or ph == PH_CHORD_SYM:
+        if state.in_prompt:
+            sched = cc.sched_for(state.bar_index)
+        else:
+            sched = state.prompt_bars[state.bar_index].chords
+        k = len(state.cur_chords)
+        if ph == PH_CHORD_SYM:
+            return rules.chords if sched is None else 1 << (CHORD_BASE + sched[k][1])
+        if sched is None:
+            first = state.cur_chords[-1][0] + 1 if state.cur_chords else 0
+            return _block(POS_BASE + first, N_STEPS - first) | _exits(state, cc)
+        if k < len(sched):
+            return 1 << (POS_BASE + sched[k][0])
+        return _exits(state, cc)
+    if ph == PH_TRACK_START:
+        return _exits(state, cc)
+    if ph == PH_NOTE_POS or ph == PH_DRUM_POS:
+        bits = 0
+        if state.group_count < MAX_NOTES_PER_PART:
+            first = max(state.last_position, 0)
+            bits = _block(POS_BASE + first, N_STEPS - first)
+            last = state.last_pitch if ph == PH_NOTE_POS else state.last_drum
+            if last >= (N_PITCHES if ph == PH_NOTE_POS else _N_DRUMS) - 1:
+                bits &= ~(1 << (POS_BASE + state.last_position))
+        if state.group_count >= 1:
+            bits |= _exits(state, cc)
+        return bits
+    if ph == PH_NOTE_DUR:
+        return rules.durations
+    if ph == PH_NOTE_PITCH:
+        first = state.last_pitch + 1
+        return _block(PITCH_BASE + first, N_PITCHES - first)
+    if ph == PH_DRUM_KEY:
+        first = state.last_drum + 1
+        return _block(DRUM_BASE + first, _N_DRUMS - first)
+    raise ValueError("terminal state has no legal continuation")
+
+
+def legal_ids(
+    rules: RuleSet, state: FsmState, control: ControlSpec | _CompiledControl | None = None
+) -> np.ndarray:
+    """Ascending ids of the tokens legal in ``state``.
+
+    The array is shared between calls and read-only.  Raises
+    ConstraintConflictError when controls empty the grammar mask.
+    """
+    cc = compile_control(control)
+    bits = _legal_bits(rules, state, cc)
+    if not bits:
+        grammar = rules.ids_of(_legal_bits(rules, state, _NO_CONTROL))
+        expects = sorted(
+            {PHASE_NAMES[state.phase]} | {build_vocab().render(int(i)) for i in grammar[:8]}
+        )
+        raise ConstraintConflictError(
+            state.step, f"{state.describe()} ({', '.join(expects)})", cc.describe
+        )
+    return rules.ids_of(bits)
 
 
 def mask_for_state(
@@ -539,97 +650,8 @@ def mask_for_state(
     The result is freshly allocated and safe for the caller to modify.
     Raises ConstraintConflictError when controls empty the grammar mask.
     """
-    cc = compile_control(control)
-    mask = rules.empty.copy()
-    ph = state.phase
-
-    if ph == PH_BAR:
-        mask[BAR_ID] = True
-    elif ph == PH_GENRE:
-        if state.genre >= 0:
-            mask[GENRE_BASE + state.genre] = True
-        elif cc.genre_idx >= 0:
-            mask[GENRE_BASE + cc.genre_idx] = True
-        else:
-            mask |= rules.genres
-    elif ph == PH_SEC:
-        if not state.in_prompt:
-            mask[SEC_BASE + state.prompt_bars[state.bar_index].sec] = True
-        elif cc.sec_ids is not None and state.bar_index < len(cc.sec_ids):
-            mask[SEC_BASE + cc.sec_ids[state.bar_index]] = True
-        else:
-            mask |= rules.secs
-    elif ph == PH_BPM:
-        if not state.in_prompt:
-            mask[BPM_BASE + state.prompt_bars[state.bar_index].bpm] = True
-        elif cc.bpm_idx >= 0:
-            mask[BPM_BASE + cc.bpm_idx] = True
-        else:
-            mask |= rules.bpms
-    elif ph == PH_CHORD_POS:
-        if state.in_prompt:
-            sched = cc.sched_for(state.bar_index)
-        else:
-            sched = state.prompt_bars[state.bar_index].chords
-        k = len(state.cur_chords)
-        if sched is not None:
-            if k < len(sched):
-                mask[POS_BASE + sched[k][0]] = True
-            else:
-                _exits_into(mask, state, cc)
-        else:
-            last = state.cur_chords[-1][0] if state.cur_chords else -1
-            mask |= rules.pos_from[last + 1]
-            _exits_into(mask, state, cc)
-    elif ph == PH_CHORD_SYM:
-        if state.in_prompt:
-            sched = cc.sched_for(state.bar_index)
-        else:
-            sched = state.prompt_bars[state.bar_index].chords
-        if sched is not None:
-            mask[CHORD_BASE + sched[len(state.cur_chords)][1]] = True
-        else:
-            mask |= rules.chords
-    elif ph == PH_TRACK_START:
-        _exits_into(mask, state, cc)
-    elif ph == PH_NOTE_POS:
-        if state.group_count < MAX_NOTES_PER_PART:
-            mask |= rules.pos_from[max(state.last_position, 0)]
-            if state.last_pitch >= N_PITCHES - 1:
-                mask[POS_BASE + state.last_position] = False
-        if state.group_count >= 1:
-            _exits_into(mask, state, cc)
-    elif ph == PH_NOTE_DUR:
-        mask |= rules.durations
-    elif ph == PH_NOTE_PITCH:
-        if state.last_pitch >= 0:
-            mask |= rules.pitch_from[state.last_pitch + 1]
-        else:
-            mask |= rules.pitches
-    elif ph == PH_DRUM_POS:
-        if state.group_count < MAX_NOTES_PER_PART:
-            mask |= rules.pos_from[max(state.last_position, 0)]
-            if state.last_drum >= _N_DRUMS - 1:
-                mask[POS_BASE + state.last_position] = False
-        if state.group_count >= 1:
-            _exits_into(mask, state, cc)
-    elif ph == PH_DRUM_KEY:
-        if state.last_drum >= 0:
-            mask |= rules.drum_from[state.last_drum + 1]
-        else:
-            mask |= rules.drums
-    else:
-        raise ValueError("terminal state has no legal continuation")
-
-    if not mask.any():
-        grammar = mask_for_state(rules, state, None)
-        expects = sorted(
-            {PHASE_NAMES[state.phase]}
-            | {build_vocab().render(int(i)) for i in np.flatnonzero(grammar)[:8]}
-        )
-        raise ConstraintConflictError(
-            state.step, f"{state.describe()} ({', '.join(expects)})", cc.describe
-        )
+    mask = np.zeros(VOCAB_SIZE, dtype=bool)
+    mask[legal_ids(rules, state, control)] = True
     return mask
 
 

@@ -64,9 +64,12 @@ class NgramModel:
             {} for _ in range(order)
         ]
         self._tables: list[dict[tuple[int, ...], tuple]] | None = None
+        # longest seen context suffix -> read-only log-probabilities
+        self._scores: dict[tuple[int, ...], np.ndarray] = {}
 
     def add_sequence(self, seq: Sequence[int]) -> None:
         self._tables = None
+        self._scores.clear()
         seq = list(seq)
         for k in range(self.order):
             level = self._counts[k]
@@ -89,16 +92,24 @@ class NgramModel:
             self._tables = tables
         return self._tables
 
-    def probabilities(self, context: Sequence[int]) -> np.ndarray:
-        """Full conditional distribution over the vocabulary."""
+    def _longest_seen(self, context: Sequence[int]) -> tuple[int, ...]:
+        """The longest suffix of the usable context that the tables hold.
+
+        Every suffix of a seen context is seen too, so this suffix alone
+        fixes the interpolated distribution.  An empty model gives ()."""
         tables = self._freeze()
         ctx = tuple(context[-self.context_limit :]) if self.context_limit else ()
+        for start in range(len(ctx)):
+            key = ctx[start:]
+            if key in tables[len(key)]:
+                return key
+        return ()
+
+    def _interpolate(self, key: tuple[int, ...]) -> np.ndarray:
+        tables = self._freeze()
         p = np.full(VOCAB_SIZE, 1.0 / VOCAB_SIZE)
-        for k in range(self.order):
-            if k > len(ctx):
-                break
-            key = ctx[len(ctx) - k :]
-            entry = tables[k].get(key)
+        for k in range(len(key) + 1):
+            entry = tables[k].get(key[len(key) - k :])
             if entry is None:
                 break
             ids, cnts, total, ntypes = entry
@@ -106,8 +117,20 @@ class NgramModel:
             p[ids] += (cnts - self.discount) / total
         return p
 
+    def probabilities(self, context: Sequence[int]) -> np.ndarray:
+        """Full conditional distribution over the vocabulary (a fresh array)."""
+        return self._interpolate(self._longest_seen(context))
+
     def score(self, context: Sequence[int]) -> np.ndarray:
-        return np.log(self.probabilities(context))
+        """Log-probabilities; the array is cached per seen context, so it is
+        shared between calls and read-only."""
+        key = self._longest_seen(context)
+        scores = self._scores.get(key)
+        if scores is None:
+            scores = np.log(self._interpolate(key))
+            scores.flags.writeable = False
+            self._scores[key] = scores
+        return scores
 
     def iter_counts(self) -> Iterable[tuple[tuple[int, ...], int, int]]:
         """All (context, id, count) triples in deterministic order."""

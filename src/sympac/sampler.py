@@ -19,7 +19,7 @@ from .fsm import (
     RuleSet,
     compile_control,
     initial_state,
-    mask_for_state,
+    legal_ids,
     update_state,
 )
 from .lm import NextTokenModel
@@ -53,6 +53,29 @@ class SampleResult:
     truncated: bool
 
 
+def _masked_weights(
+    scores: np.ndarray,
+    ids: np.ndarray,
+    temperature: float,
+    top_k: int | None,
+    top_p: float | None,
+) -> np.ndarray:
+    """Probabilities of the ids in ``ids``, in their order: softmax of
+    ``scores / temperature`` over those ids, then top-k, then top-p, then
+    renormalized to one."""
+    logits = scores[ids] / temperature
+    weights = np.exp(logits - logits.max())
+    if top_k is not None and top_k < len(ids):
+        order = np.argsort(-weights, kind="stable")
+        weights[order[top_k:]] = 0.0
+    if top_p is not None and top_p < 1.0:
+        order = np.argsort(-weights, kind="stable")
+        cumulative = np.cumsum(weights[order]) / weights.sum()
+        keep = int(np.searchsorted(cumulative, top_p, side="left")) + 1
+        weights[order[keep:]] = 0.0
+    return weights / weights.sum()
+
+
 def renormalize(
     scores: np.ndarray,
     mask: np.ndarray,
@@ -68,25 +91,9 @@ def renormalize(
     ids = np.flatnonzero(mask)
     if len(ids) == 0:
         raise ValueError("empty mask")
-    logits = scores[ids] / temperature
-    weights = np.exp(logits - logits.max())
-    if top_k is not None and top_k < len(ids):
-        order = np.argsort(-weights, kind="stable")
-        weights[order[top_k:]] = 0.0
-    if top_p is not None and top_p < 1.0:
-        order = np.argsort(-weights, kind="stable")
-        cumulative = np.cumsum(weights[order]) / weights.sum()
-        keep = int(np.searchsorted(cumulative, top_p, side="left")) + 1
-        weights[order[keep:]] = 0.0
     out = np.zeros(VOCAB_SIZE)
-    out[ids] = weights / weights.sum()
+    out[ids] = _masked_weights(scores, ids, temperature, top_k, top_p)
     return out
-
-
-def _draw(rng: np.random.Generator, probs: np.ndarray) -> int:
-    cumulative = np.cumsum(probs)
-    r = rng.random() * cumulative[-1]
-    return int(np.searchsorted(cumulative, r, side="right"))
 
 
 def constrained_sample(
@@ -101,6 +108,12 @@ def constrained_sample(
     machine reaches its terminal state, and stops early (flagging the
     result truncated) after ``max_tokens`` tokens.  Constraint
     conflicts from the state machine propagate with step context.
+
+    Each step draws one ``rng.random()`` and walks the cumulative
+    probabilities of the legal ids in ascending id order.  A step with a
+    single legal id emits it without scoring the model but still consumes
+    its draw, so a seed gives the stream it would give if every step
+    were scored.
     """
     config = config or SamplerConfig()
     cc = compile_control(control)
@@ -110,10 +123,17 @@ def constrained_sample(
     while not state.terminal:
         if len(seq) >= config.max_tokens:
             return SampleResult(seq, truncated=True)
-        mask = mask_for_state(rules, state, cc)
-        scores = model.score(seq)
-        probs = renormalize(scores, mask, config.temperature, config.top_k, config.top_p)
-        token = _draw(rng, probs)
+        ids = legal_ids(rules, state, cc)
+        if len(ids) == 1:
+            rng.random()
+            token = int(ids[0])
+        else:
+            weights = _masked_weights(
+                model.score(seq), ids, config.temperature, config.top_k, config.top_p
+            )
+            cumulative = weights.cumsum()
+            r = rng.random() * cumulative[-1]
+            token = int(ids[cumulative.searchsorted(r, side="right")])
         seq.append(token)
         state = update_state(rules, state, token)
     return SampleResult(seq, truncated=False)

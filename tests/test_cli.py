@@ -6,7 +6,7 @@ import pytest
 from sympac.cli import main
 from sympac.encoding import encode_song, read_corpus, write_corpus
 from sympac.ingest import render_annotations, serialize_annotations
-from sympac.lm import load_model_file
+from sympac.lm import load_model_file, save_model_file
 from sympac.smf import export_smf
 from synthcorpus import chord_following_song
 
@@ -116,6 +116,41 @@ def test_generate_parallel_matches_serial(trained):
     for i in range(3):
         name = f"sample_{i:04d}.tokens"
         assert (trained / "g1" / name).read_bytes() == (trained / "g2" / name).read_bytes()
+
+
+def test_generate_worker_loads_the_model_once(trained, monkeypatch):
+    import sympac.cli as cli
+
+    loads = []
+
+    def counting_load(path):
+        loads.append(path)
+        return load_model_file(path)
+
+    monkeypatch.setattr(cli, "load_model_file", counting_load)
+    monkeypatch.setattr(cli, "_worker_run", None)
+    cli._gen_init(str(trained / "model.bin"), {"n_bars": 2}, {"max_tokens": 20000})
+    first = [cli._gen_worker(seed) for seed in (4, 5, 6)]
+    assert len(loads) == 1
+    assert first == [cli._gen_worker(seed) for seed in (4, 5, 6)]
+
+
+def test_rerun_refuses_a_changed_model(trained, capsys):
+    assert main([
+        "generate", "--model", str(trained / "model.bin"),
+        "--out-dir", str(trained / "gen"), "-n", "1", "--seed", "2", "--bars", "2",
+    ]) == 0
+    model = load_model_file(trained / "model.bin")
+    model.add_sequence([0, 18, 3, 10, 1])
+    save_model_file(model, trained / "model.bin")
+    capsys.readouterr()
+    rc = main([
+        "generate", "--from-manifest", str(trained / "gen" / "manifest.json"),
+        "--out-dir", str(trained / "gen2"),
+    ])
+    assert rc == 2
+    assert "SHA-256" in capsys.readouterr().err
+    assert not (trained / "gen2").exists()
 
 
 def test_config_file_supplies_defaults(trained):

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sympac.encoding import decode_sequence, encode_song, validate
 from sympac.errors import ConstraintConflictError, ControlError
+from sympac import fsm
 from sympac.fsm import (
     ControlSpec,
     build_rules,
     compile_control,
     initial_state,
+    legal_ids,
     mask_for_state,
     parse_chords_arg,
     parse_structure_arg,
@@ -374,3 +376,195 @@ def test_chord_schedule_beyond_requested_bars_rejected():
         ControlSpec(chord_schedule=((5, 0, "C"),), n_bars=4)
     with pytest.raises(ControlError, match="bar 3"):
         ControlSpec(chord_schedule=((3, 0, "C"),), sections=("verse",) * 2)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the boolean-array masks the integer bitmasks replaced.
+
+def _block(base, count):
+    m = np.zeros(fsm.VOCAB_SIZE, dtype=bool)
+    m[base : base + count] = True
+    return m
+
+
+_GENRES = _block(fsm.GENRE_BASE, len(GENRES))
+_SECS = _block(fsm.SEC_BASE, len(SECTIONS))
+_BPMS = _block(fsm.BPM_BASE, len(BPM_LABELS))
+_CHORDS = _block(fsm.CHORD_BASE, len(CHORDS))
+_DURATIONS = _block(fsm.DUR_BASE, fsm.MAX_DURATION)
+_PITCHES = _block(fsm.PITCH_BASE, fsm.N_PITCHES)
+_DRUMS = _block(fsm.DRUM_BASE, fsm._N_DRUMS)
+_POS_FROM = [_block(fsm.POS_BASE + k, fsm.N_STEPS - k) for k in range(fsm.N_STEPS + 1)]
+_PITCH_FROM = [_block(fsm.PITCH_BASE + k, fsm.N_PITCHES - k) for k in range(fsm.N_PITCHES + 1)]
+_DRUM_FROM = [_block(fsm.DRUM_BASE + k, fsm._N_DRUMS - k) for k in range(fsm._N_DRUMS + 1)]
+
+
+def _reference_exits_into(mask, state, cc):
+    candidates = fsm._track_candidates(state, cc)
+    while candidates:
+        t = (candidates & -candidates).bit_length() - 1
+        mask[fsm.TRACK_BASE + t] = True
+        candidates &= candidates - 1
+    for tid in fsm._bar_end_ids(state, cc):
+        mask[tid] = True
+
+
+def reference_mask(state, cc):
+    """Legal-token mask built phase by phase on boolean arrays; may be empty."""
+    mask = np.zeros(fsm.VOCAB_SIZE, dtype=bool)
+    ph = state.phase
+    if ph == fsm.PH_BAR:
+        mask[BAR_ID] = True
+    elif ph == fsm.PH_GENRE:
+        if state.genre >= 0:
+            mask[GENRE_BASE + state.genre] = True
+        elif cc.genre_idx >= 0:
+            mask[GENRE_BASE + cc.genre_idx] = True
+        else:
+            mask |= _GENRES
+    elif ph == fsm.PH_SEC:
+        if not state.in_prompt:
+            mask[fsm.SEC_BASE + state.prompt_bars[state.bar_index].sec] = True
+        elif cc.sec_ids is not None and state.bar_index < len(cc.sec_ids):
+            mask[fsm.SEC_BASE + cc.sec_ids[state.bar_index]] = True
+        else:
+            mask |= _SECS
+    elif ph == fsm.PH_BPM:
+        if not state.in_prompt:
+            mask[fsm.BPM_BASE + state.prompt_bars[state.bar_index].bpm] = True
+        elif cc.bpm_idx >= 0:
+            mask[fsm.BPM_BASE + cc.bpm_idx] = True
+        else:
+            mask |= _BPMS
+    elif ph in (fsm.PH_CHORD_POS, fsm.PH_CHORD_SYM):
+        if state.in_prompt:
+            sched = cc.sched_for(state.bar_index)
+        else:
+            sched = state.prompt_bars[state.bar_index].chords
+        k = len(state.cur_chords)
+        if ph == fsm.PH_CHORD_SYM:
+            if sched is not None:
+                mask[fsm.CHORD_BASE + sched[k][1]] = True
+            else:
+                mask |= _CHORDS
+        elif sched is not None:
+            if k < len(sched):
+                mask[fsm.POS_BASE + sched[k][0]] = True
+            else:
+                _reference_exits_into(mask, state, cc)
+        else:
+            last = state.cur_chords[-1][0] if state.cur_chords else -1
+            mask |= _POS_FROM[last + 1]
+            _reference_exits_into(mask, state, cc)
+    elif ph == fsm.PH_TRACK_START:
+        _reference_exits_into(mask, state, cc)
+    elif ph in (fsm.PH_NOTE_POS, fsm.PH_DRUM_POS):
+        last, top = (
+            (state.last_pitch, fsm.N_PITCHES)
+            if ph == fsm.PH_NOTE_POS
+            else (state.last_drum, fsm._N_DRUMS)
+        )
+        if state.group_count < fsm.MAX_NOTES_PER_PART:
+            mask |= _POS_FROM[max(state.last_position, 0)]
+            if last >= top - 1:
+                mask[fsm.POS_BASE + state.last_position] = False
+        if state.group_count >= 1:
+            _reference_exits_into(mask, state, cc)
+    elif ph == fsm.PH_NOTE_DUR:
+        mask |= _DURATIONS
+    elif ph == fsm.PH_NOTE_PITCH:
+        mask |= _PITCH_FROM[state.last_pitch + 1] if state.last_pitch >= 0 else _PITCHES
+    elif ph == fsm.PH_DRUM_KEY:
+        mask |= _DRUM_FROM[state.last_drum + 1] if state.last_drum >= 0 else _DRUMS
+    else:
+        raise ValueError("terminal state has no legal continuation")
+    return mask
+
+
+def assert_same_legal_set(state, cc):
+    """legal_ids and mask_for_state agree with the reference in ``state``,
+    including a conflict that names what the grammar expects."""
+    want = reference_mask(state, cc)
+    if not want.any():
+        with pytest.raises(ConstraintConflictError) as info:
+            legal_ids(RULES, state, cc)
+        grammar = np.flatnonzero(reference_mask(state, compile_control(None)))
+        for i in grammar[:8]:
+            assert VOCAB.render(int(i)) in info.value.grammar_expects
+        assert state.phase_name in info.value.grammar_expects
+        with pytest.raises(ConstraintConflictError):
+            mask_for_state(RULES, state, cc)
+        return None
+    ids = legal_ids(RULES, state, cc)
+    assert ids.dtype == np.int64 and not ids.flags.writeable
+    assert np.array_equal(ids, np.flatnonzero(want))
+    assert np.all(np.diff(ids) > 0)
+    assert np.array_equal(mask_for_state(RULES, state, cc), want)
+    return ids
+
+
+@settings(max_examples=60, deadline=None)
+@given(control_specs(), st.integers(0, 2**32 - 1), st.booleans())
+def test_legal_ids_match_reference_masks(spec, seed, tamper):
+    # Walk the machine under the control.  With ``tamper``, each state is
+    # also compared with a copy whose tracks_emitted is overwritten, which
+    # reaches states where the forced tracks conflict; the copy is never
+    # advanced, because update_state may reject what such a mask allows.
+    rng = np.random.default_rng(seed)
+    cc = compile_control(spec)
+    state = initial_state(spec)
+    for _ in range(400):
+        if state.terminal:
+            break
+        if tamper:
+            other = state.clone()
+            other.tracks_emitted = int(rng.integers(1 << len(TRACKS)))
+            assert_same_legal_set(other, cc)
+        ids = assert_same_legal_set(state, cc)
+        token = int(ids[rng.integers(len(ids))])
+        state = update_state(RULES, state, token)
+
+
+def test_mask_for_state_is_a_fresh_array():
+    state = initial_state(None)
+    first = mask_for_state(RULES, state)
+    first[:] = False
+    assert mask_for_state(RULES, state).any()
+
+
+def test_clone_copies_every_slot():
+    state = initial_state(None)
+    for i, name in enumerate(fsm.FsmState.__slots__):
+        setattr(state, name, ("value", i))
+    other = state.clone()
+    assert other is not state
+    for name in fsm.FsmState.__slots__:
+        assert getattr(other, name) == getattr(state, name)
+
+
+def test_control_json_rejects_non_array_track_lists():
+    for key in ("tracks", "forced_tracks"):
+        for value in (5, "piano", {"piano": 1}):
+            with pytest.raises(ControlError, match=key):
+                ControlSpec.from_json({key: value})
+    with pytest.raises(ControlError, match="track names"):
+        ControlSpec.from_json({"tracks": [["piano"]]})
+    with pytest.raises(ControlError, match="track names"):
+        ControlSpec(allowed_tracks=5)
+
+
+def test_chord_schedule_rejects_non_integral_bar_and_step():
+    for entry in ([0, 1.5, "C"], [0.5, 0, "C"], [0, float("nan"), "C"],
+                  [0, float("inf"), "C"], [True, 0, "C"], ["0", 0, "C"]):
+        with pytest.raises(ControlError, match="whole"):
+            ControlSpec.from_json({"chord_schedule": [entry]})
+    spec = ControlSpec.from_json({"chord_schedule": [[1.0, 4.0, "C"]]})
+    assert spec.chord_schedule == ((1, 4, "C:maj"),)
+
+
+def test_structure_rejects_non_integral_bar_counts():
+    for bars in (1.5, True, "2", None):
+        with pytest.raises(ControlError, match="bar count"):
+            ControlSpec.from_json({"structure": [["verse", bars]]})
+    spec = ControlSpec.from_json({"structure": [["verse", 2.0]]})
+    assert spec.sections == ("verse", "verse")

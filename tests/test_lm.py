@@ -174,3 +174,36 @@ def test_adding_pinned_sequence_raises_its_ngram_probabilities():
         ctx = added[max(0, i - 2) : i]
         token = added[i]
         assert after.probabilities(ctx)[token] >= before.probabilities(ctx)[token] - 1e-12
+
+
+def test_cached_score_is_the_log_of_probabilities():
+    rng = np.random.default_rng(71)
+    corpus = [list(rng.integers(0, 25, size=rng.integers(5, 40))) for _ in range(10)]
+    model = train_ngram(corpus, order=4)
+    for _ in range(300):
+        context = list(rng.integers(0, 30, size=rng.integers(0, 8)))
+        expect = np.log(model.probabilities(context))
+        # twice: the first call fills the cache, the second reads it
+        assert np.array_equal(model.score(context), expect)
+        assert np.array_equal(model.score(context), expect)
+
+
+def test_cached_score_is_read_only_and_shared_by_seen_suffix():
+    model = train_ngram([[1, 2, 3, 4, 5]], order=3)
+    scores = model.score([2, 3])
+    assert not scores.flags.writeable
+    with pytest.raises(ValueError):
+        scores[0] = 0.0
+    # [9, 3] backs off to the seen suffix (3,), as does [3]
+    assert model.score([9, 3]) is model.score([3])
+
+
+def test_score_follows_add_sequence():
+    model = NgramModel(order=2)
+    model.add_sequence([4, 5])
+    before = model.score([4]).copy()
+    model.add_sequence([4, 6, 4, 6])
+    after = model.score([4])
+    assert not np.array_equal(before, after)
+    assert np.array_equal(after, np.log(model.probabilities([4])))
+    assert after[6] > before[6]
