@@ -270,19 +270,26 @@ def _control_from_args(args, config: dict) -> ControlSpec:
     )
 
 
-# What one `generate --jobs N` worker process samples with, set once by
-# _gen_init, so the model is loaded (and its score cache warmed) once per
-# worker rather than once per sample.
-_worker_run: tuple | None = None
+# What `generate` samples with in this process, set once by _gen_init (the
+# pool initializer with --jobs N, a plain call otherwise), so the model is
+# loaded and its score cache warmed once per process, not once per sample.
+# A load error is kept and raised by each _gen_worker call, so it reaches
+# the parent as itself rather than as a broken pool.
+_worker_run: tuple | Exception | None = None
 
 
 def _gen_init(model_path: str, control_doc: dict | None, sampler_kwargs: dict) -> None:
     global _worker_run
     control = ControlSpec.from_json(control_doc) if control_doc is not None else None
-    _worker_run = (load_model_file(model_path), control, sampler_kwargs)
+    try:
+        _worker_run = (load_model_file(model_path), control, sampler_kwargs)
+    except (SympacError, OSError) as exc:
+        _worker_run = exc
 
 
 def _gen_worker(seed: int) -> tuple[list[int], bool]:
+    if isinstance(_worker_run, Exception):
+        raise _worker_run
     model, control, sampler_kwargs = _worker_run
     config = SamplerConfig(rng_seed=seed, **sampler_kwargs)
     result = constrained_sample(model, build_rules(), control, config)
@@ -302,12 +309,13 @@ def _cmd_generate(args, config: dict) -> int:
             n_samples = run["n_samples"]
             seed = run["seed"]
             model_path = run["model"]
-            model_sha256 = run["model_sha256"]
+            recorded_sha256 = run["model_sha256"]
             write_midi = run["midi"]
             write_text = run["text"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise _Usage(f"manifest {args.from_manifest}: {exc!r}") from None
-        if _sha256(Path(model_path)) != model_sha256:
+        model_sha256 = _sha256(Path(model_path))
+        if model_sha256 != recorded_sha256:
             print(
                 f"error: model {model_path} is not the model the manifest recorded "
                 "(SHA-256 differs); refusing to rerun",
@@ -330,30 +338,27 @@ def _cmd_generate(args, config: dict) -> int:
         }
         write_midi = bool(args.midi)
         write_text = bool(args.text)
+        model_sha256 = _sha256(Path(model_path))
+    if n_samples < 1:
+        raise _Usage(f"the sample count must be at least 1, got {n_samples}")
 
     jobs = int(_cfg(args, config, "jobs", 1))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    model = load_model_file(model_path)
-    rules = build_rules()
     control_doc = control.to_json() if control is not None else None
-
-    outputs = []
-    results: list[tuple[list[int], bool]] = []
+    run_args = (str(model_path), control_doc, sampler_kwargs)
+    seeds = range(seed, seed + n_samples)
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_gen_init,
-            initargs=(str(model_path), control_doc, sampler_kwargs),
+            max_workers=jobs, initializer=_gen_init, initargs=run_args
         ) as pool:
-            results = list(pool.map(_gen_worker, range(seed, seed + n_samples)))
+            results = list(pool.map(_gen_worker, seeds))
     else:
-        for i in range(n_samples):
-            cfg = SamplerConfig(rng_seed=seed + i, **sampler_kwargs)
-            result = constrained_sample(model, rules, control, cfg)
-            results.append((result.tokens, result.truncated))
+        _gen_init(*run_args)
+        results = [_gen_worker(s) for s in seeds]
 
+    outputs = []
     truncated_count = 0
     for i, (tokens, truncated) in enumerate(results):
         name = f"sample_{i:04d}.tokens"
@@ -379,7 +384,7 @@ def _cmd_generate(args, config: dict) -> int:
         "run": {
             "command": "generate",
             "model": str(model_path),
-            "model_sha256": _sha256(Path(model_path)),
+            "model_sha256": model_sha256,
             "control": control_doc,
             "sampler": sampler_kwargs,
             "seed": seed,

@@ -401,8 +401,10 @@ def tokens_to_bytes(seq: list[int]) -> bytes:
 def _record_from(buffer: bytes, offset: int) -> tuple[list[int], int]:
     if buffer[offset : offset + 8] != TOKEN_FILE_MAGIC:
         raise ParseError(f"byte {offset}: bad token-file magic")
-    (count,) = struct.unpack_from("<Q", buffer, offset + 8)
     start = offset + 16
+    if start > len(buffer):
+        raise ParseError(f"byte {offset}: truncated token record header")
+    (count,) = struct.unpack_from("<Q", buffer, offset + 8)
     end = start + 2 * count
     if end > len(buffer):
         raise ParseError(f"byte {offset}: truncated token record")

@@ -32,7 +32,6 @@ from .vocab import (
     CHORD_BASE,
     CHORDS,
     DRUM_BASE,
-    DRUM_KEY_MIN,
     DUR_BASE,
     EOP_ID,
     EOS_ID,
@@ -60,6 +59,7 @@ _N_DRUMS = VOCAB_SIZE - DRUM_BASE
 _DRUMS_TRACK = len(TRACKS) - 1
 _ALL_TRACKS_MASK = (1 << len(TRACKS)) - 1
 _MASK_BYTES = (VOCAB_SIZE + 7) // 8
+_BAR_BIT, _EOP_BIT, _EOS_BIT = 1 << BAR_ID, 1 << EOP_ID, 1 << EOS_ID
 
 # Decoding phases.
 (
@@ -406,10 +406,11 @@ def compile_control(control: "ControlSpec | _CompiledControl | None") -> _Compil
 
 
 class FsmState:
-    """Decoding state; a small value owned by one session.
+    """Decoding state owned by one sampling run.
 
-    ``update_state`` returns a fresh instance, so states may be retained
-    (e.g. for backtracking or diagnostics) without aliasing surprises.
+    ``update_state`` advances it in place; a caller that needs an earlier
+    state keeps a ``copy.copy`` of it (every slot holds an int, a bool or
+    a tuple, so a shallow copy is independent).
     """
 
     __slots__ = (
@@ -448,26 +449,6 @@ class FsmState:
         self.cur_chords: tuple[tuple[int, int], ...] = ()
         self.prompt_bars: tuple[_PromptBar, ...] = ()
         self.bars_total = -1
-
-    def clone(self) -> "FsmState":
-        other = FsmState.__new__(FsmState)
-        other.phase = self.phase
-        other.in_prompt = self.in_prompt
-        other.bar_index = self.bar_index
-        other.step = self.step
-        other.last_position = self.last_position
-        other.current_track = self.current_track
-        other.tracks_emitted = self.tracks_emitted
-        other.group_count = self.group_count
-        other.last_pitch = self.last_pitch
-        other.last_drum = self.last_drum
-        other.genre = self.genre
-        other.cur_sec = self.cur_sec
-        other.cur_bpm = self.cur_bpm
-        other.cur_chords = self.cur_chords
-        other.prompt_bars = self.prompt_bars
-        other.bars_total = self.bars_total
-        return other
 
     @property
     def phase_name(self) -> str:
@@ -530,9 +511,8 @@ def _track_candidates(state: FsmState, cc: _CompiledControl) -> int:
         allowed = cc.allowed
     else:
         allowed = state.prompt_bars[state.bar_index].tracks & cc.allowed
-    candidates = allowed & ~state.tracks_emitted
     # fixed order: only tracks after every already-emitted one
-    candidates &= ~((1 << state.tracks_emitted.bit_length()) - 1) & _ALL_TRACKS_MASK
+    candidates = allowed & ~((1 << state.tracks_emitted.bit_length()) - 1)
     remaining_forced = cc.forced & ~state.tracks_emitted
     if remaining_forced:
         first_unmet = (remaining_forced & -remaining_forced).bit_length() - 1
@@ -540,24 +520,19 @@ def _track_candidates(state: FsmState, cc: _CompiledControl) -> int:
     return candidates
 
 
-def _bar_end_ids(state: FsmState, cc: _CompiledControl) -> tuple[int, ...]:
+def _bar_end_bits(state: FsmState, cc: _CompiledControl) -> int:
     if cc.forced & ~state.tracks_emitted:
-        return ()
+        return 0
     if state.in_prompt:
         if cc.n_bars >= 0:
-            return (BAR_ID,) if state.bar_index < cc.n_bars - 1 else (EOP_ID,)
-        return (BAR_ID, EOP_ID)
-    if state.bar_index < state.bars_total - 1:
-        return (BAR_ID,)
-    return (EOS_ID,)
+            return _BAR_BIT if state.bar_index < cc.n_bars - 1 else _EOP_BIT
+        return _BAR_BIT | _EOP_BIT
+    return _BAR_BIT if state.bar_index < state.bars_total - 1 else _EOS_BIT
 
 
 def _exits(state: FsmState, cc: _CompiledControl) -> int:
     """Bits of the tokens that leave the current part: a next track or a bar end."""
-    bits = _track_candidates(state, cc) << TRACK_BASE
-    for tid in _bar_end_ids(state, cc):
-        bits |= 1 << tid
-    return bits
+    return _track_candidates(state, cc) << TRACK_BASE | _bar_end_bits(state, cc)
 
 
 def _legal_bits(rules: RuleSet, state: FsmState, cc: _CompiledControl) -> int:
@@ -679,161 +654,107 @@ def _illegal(state: FsmState, token_id: int) -> Exception:
 
 
 def update_state(rules: RuleSet, state: FsmState, token: Token | int) -> FsmState:
-    """Deterministic transition; returns the successor state.
+    """Advance ``state`` in place by ``token`` and return it.
 
-    The caller is expected to feed only tokens drawn from the state's
-    mask; a cheap kind check guards against gross misuse.
+    ``token`` is accepted only when it is in the grammar mask of
+    ``state``: the mask ``legal_ids`` gives with no control.  Every
+    controlled mask is a subset of it, so a token drawn from any mask is
+    accepted.  Any other token, and every token in the terminal state,
+    raises ValueError before anything is written, leaving ``state`` as
+    it was.
     """
     token_id = token if isinstance(token, int) else build_vocab().id_of(token)
-    s = state.clone()
-    s.step += 1
     ph = state.phase
+    if (
+        token_id < 0
+        or ph == PH_TERMINAL
+        or not _legal_bits(rules, state, _NO_CONTROL) >> token_id & 1
+    ):
+        raise _illegal(state, token_id)
+    state.step += 1
 
     if token_id == BAR_ID:
-        if ph not in (PH_BAR, PH_CHORD_POS, PH_TRACK_START, PH_NOTE_POS, PH_DRUM_POS):
-            raise _illegal(state, token_id)
-        if ph in (PH_NOTE_POS, PH_DRUM_POS) and state.group_count < 1:
-            raise _illegal(state, token_id)
-        _close_bar(s)
-        s.bar_index += 1
-        s.phase = PH_GENRE
-        return s
-    if token_id == EOP_ID:
-        if not state.in_prompt or ph not in (PH_CHORD_POS, PH_TRACK_START):
-            raise _illegal(state, token_id)
-        _close_bar(s)
-        s.bars_total = len(s.prompt_bars)
-        s.in_prompt = False
-        s.bar_index = -1
-        s.phase = PH_BAR
-        return s
-    if token_id == EOS_ID:
-        if state.in_prompt or ph not in (PH_CHORD_POS, PH_NOTE_POS, PH_DRUM_POS):
-            raise _illegal(state, token_id)
-        if ph in (PH_NOTE_POS, PH_DRUM_POS) and state.group_count < 1:
-            raise _illegal(state, token_id)
-        _close_bar(s)
-        s.phase = PH_TERMINAL
-        return s
-
-    if ph == PH_GENRE:
-        if not GENRE_BASE <= token_id < GENRE_BASE + len(GENRES):
-            raise _illegal(state, token_id)
-        if s.genre < 0:
-            s.genre = token_id - GENRE_BASE
-        elif token_id - GENRE_BASE != s.genre:
-            raise _illegal(state, token_id)
-        s.phase = PH_SEC
+        _close_bar(state)
+        state.bar_index += 1
+        state.phase = PH_GENRE
+    elif token_id == EOP_ID:
+        _close_bar(state)
+        state.bars_total = len(state.prompt_bars)
+        state.in_prompt = False
+        state.bar_index = -1
+        state.phase = PH_BAR
+    elif token_id == EOS_ID:
+        _close_bar(state)
+        state.phase = PH_TERMINAL
+    elif TRACK_BASE <= token_id < TRACK_BASE + len(TRACKS):
+        _enter_track(state, token_id - TRACK_BASE)
+    elif ph == PH_GENRE:
+        state.genre = token_id - GENRE_BASE
+        state.phase = PH_SEC
     elif ph == PH_SEC:
-        if not SEC_BASE <= token_id < SEC_BASE + len(SECTIONS):
-            raise _illegal(state, token_id)
-        s.cur_sec = token_id - SEC_BASE
-        s.phase = PH_BPM
+        state.cur_sec = token_id - SEC_BASE
+        state.phase = PH_BPM
     elif ph == PH_BPM:
-        if not BPM_BASE <= token_id < BPM_BASE + len(BPM_LABELS):
-            raise _illegal(state, token_id)
-        s.cur_bpm = token_id - BPM_BASE
-        s.phase = PH_CHORD_POS
-        s.last_position = -1
+        state.cur_bpm = token_id - BPM_BASE
+        state.phase = PH_CHORD_POS
+        state.last_position = -1
     elif ph == PH_CHORD_POS:
-        if POS_BASE <= token_id < POS_BASE + N_STEPS:
-            s.last_position = token_id - POS_BASE
-            s.phase = PH_CHORD_SYM
-        elif TRACK_BASE <= token_id < TRACK_BASE + len(TRACKS):
-            _enter_track(s, token_id - TRACK_BASE, state)
-        else:
-            raise _illegal(state, token_id)
+        state.last_position = token_id - POS_BASE
+        state.phase = PH_CHORD_SYM
     elif ph == PH_CHORD_SYM:
-        if not CHORD_BASE <= token_id < CHORD_BASE + len(CHORDS):
-            raise _illegal(state, token_id)
-        s.cur_chords = s.cur_chords + ((s.last_position, token_id - CHORD_BASE),)
-        s.phase = PH_CHORD_POS
-    elif ph == PH_TRACK_START:
-        if TRACK_BASE <= token_id < TRACK_BASE + len(TRACKS):
-            _enter_track(s, token_id - TRACK_BASE, state)
-        else:
-            raise _illegal(state, token_id)
-    elif ph == PH_NOTE_POS:
-        if POS_BASE <= token_id < POS_BASE + N_STEPS:
-            step = token_id - POS_BASE
-            if step < state.last_position:
-                raise _illegal(state, token_id)
-            if not (state.group_count and step == state.last_position):
-                s.last_pitch = -1
-            s.last_position = step
-            s.phase = PH_NOTE_DUR
-        elif TRACK_BASE <= token_id < TRACK_BASE + len(TRACKS) and state.group_count:
-            _enter_track(s, token_id - TRACK_BASE, state)
-        else:
-            raise _illegal(state, token_id)
+        state.cur_chords = state.cur_chords + ((state.last_position, token_id - CHORD_BASE),)
+        state.phase = PH_CHORD_POS
+    elif ph == PH_NOTE_POS or ph == PH_DRUM_POS:
+        step = token_id - POS_BASE
+        if not (state.group_count and step == state.last_position):
+            # a new group; a part holds notes or drums, so one of these is -1 already
+            state.last_pitch = -1
+            state.last_drum = -1
+        state.last_position = step
+        state.phase = PH_NOTE_DUR if ph == PH_NOTE_POS else PH_DRUM_KEY
     elif ph == PH_NOTE_DUR:
-        if not DUR_BASE <= token_id < DUR_BASE + MAX_DURATION:
-            raise _illegal(state, token_id)
-        s.phase = PH_NOTE_PITCH
+        state.phase = PH_NOTE_PITCH
     elif ph == PH_NOTE_PITCH:
-        if not PITCH_BASE <= token_id < PITCH_BASE + N_PITCHES:
-            raise _illegal(state, token_id)
-        s.last_pitch = token_id - PITCH_BASE
-        s.group_count += 1
-        s.phase = PH_NOTE_POS
-    elif ph == PH_DRUM_POS:
-        if POS_BASE <= token_id < POS_BASE + N_STEPS:
-            step = token_id - POS_BASE
-            if step < state.last_position:
-                raise _illegal(state, token_id)
-            if not (state.group_count and step == state.last_position):
-                s.last_drum = -1
-            s.last_position = step
-            s.phase = PH_DRUM_KEY
-        else:
-            raise _illegal(state, token_id)
-    elif ph == PH_DRUM_KEY:
-        if not DRUM_BASE <= token_id < DRUM_BASE + _N_DRUMS:
-            raise _illegal(state, token_id)
-        s.last_drum = token_id - DRUM_BASE
-        s.group_count += 1
-        s.phase = PH_DRUM_POS
-    else:
-        raise _illegal(state, token_id)
-    return s
+        state.last_pitch = token_id - PITCH_BASE
+        state.group_count += 1
+        state.phase = PH_NOTE_POS
+    else:  # PH_DRUM_KEY
+        state.last_drum = token_id - DRUM_BASE
+        state.group_count += 1
+        state.phase = PH_DRUM_POS
+    return state
 
 
-def _enter_track(s: FsmState, track: int, before: FsmState) -> None:
-    if track <= before.tracks_emitted.bit_length() - 1:
-        raise _illegal(before, TRACK_BASE + track)
-    s.tracks_emitted |= 1 << track
-    s.current_track = track
-    s.group_count = 0
-    s.last_position = -1
-    s.last_pitch = -1
-    s.last_drum = -1
-    if s.in_prompt:
-        s.phase = PH_TRACK_START
+def _enter_track(state: FsmState, track: int) -> None:
+    state.tracks_emitted |= 1 << track
+    state.current_track = track
+    state.group_count = 0
+    state.last_position = -1
+    state.last_pitch = -1
+    state.last_drum = -1
+    if state.in_prompt:
+        state.phase = PH_TRACK_START
     elif track == _DRUMS_TRACK:
-        s.phase = PH_DRUM_POS
+        state.phase = PH_DRUM_POS
     else:
-        s.phase = PH_NOTE_POS
+        state.phase = PH_NOTE_POS
 
 
-def replay(
-    rules: RuleSet,
-    seq: list[int],
-    control: ControlSpec | None = None,
-    check_masks: bool = True,
-) -> FsmState:
+def replay(rules: RuleSet, seq: list[int], control: ControlSpec | None = None) -> FsmState:
     """Drive the machine over a full sequence (first token must be bar).
 
-    With ``check_masks`` every token is verified against the preceding
-    mask, which makes this a completeness check for encoder output.
+    Every token is checked against the mask under ``control`` before the
+    machine advances, which makes this a completeness check for encoder
+    output: an encoded song that satisfies ``control`` replays to the
+    terminal state.  Raises ValueError at the first token outside the
+    mask, and ConstraintConflictError where the controls leave none.
     """
     if not seq or seq[0] != BAR_ID:
         raise ValueError("sequence must start with the bar token")
     cc = compile_control(control)
     state = initial_state(control)
     for token_id in seq[1:]:
-        if check_masks:
-            mask = mask_for_state(rules, state, cc)
-            if not mask[token_id]:
-                raise _illegal(state, token_id)
+        if not mask_for_state(rules, state, cc)[token_id]:
+            raise _illegal(state, token_id)
         state = update_state(rules, state, token_id)
     return state

@@ -1,4 +1,4 @@
-"""Synthetic songs and corpora shared across tests.
+"""Synthetic songs, corpora and damaged byte streams shared across tests.
 
 The chord-following builder writes accompaniments whose every pitch is
 determined by the bar's chord through short token contexts, so a
@@ -9,6 +9,7 @@ pieces with exactly repeating sections.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from sympac.ingest import (
     AnnotatedSong,
@@ -236,3 +237,14 @@ def aab_song(section_bars: int = 8) -> GridSong:
         + [_pattern_bar("chorus", "B") for _ in range(section_bars)]
     )
     return GridSong(source_id="aab", genre="Pop", bars=bars)
+
+
+def damaged(blob: bytes, data) -> bytes:
+    """``blob`` cut short or with one to four bytes overwritten, drawn
+    from a hypothesis ``st.data()`` object."""
+    if data.draw(st.booleans()):
+        return blob[: data.draw(st.integers(0, len(blob) - 1))]
+    out = bytearray(blob)
+    for _ in range(data.draw(st.integers(1, 4))):
+        out[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+    return bytes(out)

@@ -135,6 +135,67 @@ def test_generate_worker_loads_the_model_once(trained, monkeypatch):
     assert first == [cli._gen_worker(seed) for seed in (4, 5, 6)]
 
 
+def test_generate_parallel_leaves_the_model_to_the_workers(trained, monkeypatch):
+    import sympac.cli as cli
+
+    loads = []
+
+    def counting_load(path):
+        loads.append(path)
+        return load_model_file(path)
+
+    # Worker processes load through their own copy of the module, and of `loads`.
+    monkeypatch.setattr(cli, "load_model_file", counting_load)
+    assert main([
+        "generate", "--model", str(trained / "model.bin"), "--out-dir", str(trained / "gp"),
+        "-n", "2", "--jobs", "2", "--bars", "1",
+    ]) == 0
+    assert loads == []
+
+
+def test_generate_parallel_reports_a_bad_model(trained, capsys):
+    blob = (trained / "model.bin").read_bytes()
+    (trained / "model.bin").write_bytes(blob[:-5])
+    capsys.readouterr()
+    rc = main([
+        "generate", "--model", str(trained / "model.bin"), "--out-dir", str(trained / "gb"),
+        "-n", "2", "--jobs", "2", "--bars", "1",
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "truncated model stream" in err
+    assert "BrokenProcessPool" not in err
+
+
+def test_generate_needs_a_sample(trained):
+    for n in ("0", "-2"):
+        assert main([
+            "generate", "--model", str(trained / "model.bin"), "--out-dir", str(trained / "g0"),
+            "-n", n,
+        ]) == 1
+    assert not (trained / "g0").exists()
+
+
+def test_rerun_hashes_the_model_once(trained, monkeypatch):
+    import sympac.cli as cli
+
+    base = ["generate", "--model", str(trained / "model.bin"), "-n", "1", "--bars", "1"]
+    assert main(base + ["--out-dir", str(trained / "gh")]) == 0
+    hashed = []
+    real_sha256 = cli._sha256
+
+    def counting_sha256(path):
+        hashed.append(path.name)
+        return real_sha256(path)
+
+    monkeypatch.setattr(cli, "_sha256", counting_sha256)
+    assert main([
+        "generate", "--from-manifest", str(trained / "gh" / "manifest.json"),
+        "--out-dir", str(trained / "gh2"),
+    ]) == 0
+    assert hashed.count("model.bin") == 1
+
+
 def test_rerun_refuses_a_changed_model(trained, capsys):
     assert main([
         "generate", "--model", str(trained / "model.bin"),

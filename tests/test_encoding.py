@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sympac.encoding import (
     decode_sequence,
@@ -14,10 +15,10 @@ from sympac.encoding import (
     write_corpus,
     write_token_file,
 )
-from sympac.errors import DecodeError, ParseError
+from sympac.errors import DecodeError, ParseError, SympacError
 from sympac.ingest import GridBar, GridNote, GridSong
 from sympac.vocab import EOP_ID, EOS_ID, build_vocab
-from synthcorpus import random_grid_song
+from synthcorpus import damaged, random_grid_song
 
 
 def one_bar_song():
@@ -200,6 +201,13 @@ def test_token_bytes_magic_and_truncation():
         tokens_from_bytes(blob[:-1])
 
 
+def test_token_bytes_truncated_header():
+    blob = tokens_to_bytes([0, 1, 2])
+    for cut in range(8, 16):
+        with pytest.raises(ParseError, match="truncated token record header"):
+            tokens_from_bytes(blob[:cut])
+
+
 def test_token_file_and_corpus(tmp_path):
     songs = [one_bar_song(), one_bar_song()]
     seqs = [encode_song(s) for s in songs]
@@ -207,6 +215,23 @@ def test_token_file_and_corpus(tmp_path):
     assert read_token_file(tmp_path / "one.tokens") == seqs[0]
     write_corpus(tmp_path / "corpus.bin", seqs)
     assert list(iter_corpus(tmp_path / "corpus.bin")) == seqs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_damaged_token_bytes_parse_or_raise_parse_error(tmp_path_factory, data):
+    seqs = [encode_song(one_bar_song()), [0, 1, 2]]
+    blob = damaged(b"".join(tokens_to_bytes(s) for s in seqs), data)
+    try:
+        tokens_from_bytes(blob)
+    except SympacError:
+        pass
+    path = tmp_path_factory.getbasetemp() / "damaged_corpus.bin"
+    path.write_bytes(blob)
+    try:
+        list(iter_corpus(path))
+    except SympacError:
+        pass
 
 
 def test_text_form_round_trip():

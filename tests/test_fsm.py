@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,17 +19,24 @@ from sympac.fsm import (
     replay,
     update_state,
 )
+from sympac.lm import UniformModel
+from sympac.sampler import SamplerConfig, constrained_sample
 from sympac.vocab import (
     BAR_ID,
     BPM_LABELS,
     CHORDS,
+    EOP_ID,
     EOS_ID,
     GENRE_BASE,
     GENRES,
     SECTIONS,
     TRACKS,
     build_vocab,
+    chord_id,
+    duration_id,
     genre_id,
+    pitch_id,
+    position_id,
     track_id,
 )
 from synthcorpus import random_grid_song
@@ -111,6 +120,62 @@ def test_illegal_transition_raises():
         update_state(RULES, state, VOCAB.id_of_name("pitch<60>"))
 
 
+HEADER = (genre_id("Pop"), VOCAB.id_of_name("sec<verse>"), VOCAB.id_of_name("bpm_level<<82>"))
+
+
+def advance(tokens):
+    state = initial_state(None)
+    for token in tokens:
+        state = update_state(RULES, state, token)
+    return state
+
+
+def assert_rejected_in_place(state, token):
+    before = copy.copy(state)
+    with pytest.raises(ValueError, match="illegal transition"):
+        update_state(RULES, state, token)
+    for name in fsm.FsmState.__slots__:
+        assert getattr(state, name) == getattr(before, name), name
+
+
+def test_update_state_advances_in_place():
+    state = initial_state(None)
+    assert update_state(RULES, state, genre_id("Pop")) is state
+    assert state.phase_name == "ExpectBarHeader(sec)"
+
+
+def test_update_state_rejects_non_ascending_pitch_at_shared_position():
+    song_bar = HEADER + (track_id("piano"), EOP_ID, BAR_ID) + HEADER + (track_id("piano"),)
+    state = advance(song_bar + (position_id(3), duration_id(1), pitch_id(60),
+                                position_id(3), duration_id(1)))
+    assert state.phase_name == "NotePitch"
+    for pitch in (60, 50):
+        assert_rejected_in_place(state, pitch_id(pitch))
+    update_state(RULES, state, pitch_id(61))
+
+
+def test_update_state_rejects_chord_position_that_does_not_advance():
+    state = advance(HEADER + (position_id(4), chord_id("C:maj")))
+    assert state.phase_name == "ChordPosOrNext"
+    for step in (4, 2):
+        assert_rejected_in_place(state, position_id(step))
+    update_state(RULES, state, position_id(5))
+
+
+def test_update_state_rejects_song_section_unlike_its_prompt_bar():
+    state = advance(HEADER + (EOP_ID, BAR_ID, genre_id("Pop")))
+    assert state.phase_name == "ExpectBarHeader(sec)" and not state.in_prompt
+    assert_rejected_in_place(state, VOCAB.id_of_name("sec<chorus>"))
+    update_state(RULES, state, VOCAB.id_of_name("sec<verse>"))
+
+
+def test_terminal_state_rejects_every_token():
+    state = advance(HEADER + (EOP_ID, BAR_ID) + HEADER + (EOS_ID,))
+    assert state.terminal
+    for token in range(len(VOCAB)):
+        assert_rejected_in_place(state, token)
+
+
 def test_soundness_under_uniform_fuzz():
     rng = np.random.default_rng(123)
     for _ in range(400):
@@ -123,7 +188,7 @@ def test_completeness_on_encoded_songs():
     rng = np.random.default_rng(17)
     for _ in range(150):
         song = random_grid_song(rng)
-        end = replay(RULES, encode_song(song), check_masks=True)
+        end = replay(RULES, encode_song(song))
         assert end.terminal
 
 
@@ -260,13 +325,6 @@ def test_constraint_conflict_reported():
         mask_for_state(RULES, state, control)
 
 
-def test_update_state_returns_fresh_value():
-    state = initial_state(None)
-    after = update_state(RULES, state, genre_id("Pop"))
-    assert state.phase_name == "ExpectBarHeader(genre)"
-    assert after is not state
-
-
 def test_parse_chords_arg():
     assert parse_chords_arg("F, D:min, C, G") == ("F:maj", "D:min", "C:maj", "G:maj")
     with pytest.raises(ControlError):
@@ -354,12 +412,7 @@ def test_genre_locks_after_first_bar():
 
 def test_note_cap_closes_part():
     # 128 note groups in one song-bar track part exhaust the mask's positions
-    from sympac.vocab import EOP_ID, duration_id, pitch_id, position_id
-
-    header = (genre_id("Pop"), VOCAB.id_of_name("sec<verse>"), VOCAB.id_of_name("bpm_level<<82>"))
-    state = initial_state(None)
-    for token in header + (track_id("piano"), EOP_ID, BAR_ID) + header + (track_id("piano"),):
-        state = update_state(RULES, state, token)
+    state = advance(HEADER + (track_id("piano"), EOP_ID, BAR_ID) + HEADER + (track_id("piano"),))
     assert state.phase_name == "NotePos"
     for i in range(128):
         state = update_state(RULES, state, position_id(15))
@@ -405,8 +458,10 @@ def _reference_exits_into(mask, state, cc):
         t = (candidates & -candidates).bit_length() - 1
         mask[fsm.TRACK_BASE + t] = True
         candidates &= candidates - 1
-    for tid in fsm._bar_end_ids(state, cc):
-        mask[tid] = True
+    ends = fsm._bar_end_bits(state, cc)
+    for tid in (BAR_ID, EOP_ID, EOS_ID):
+        if ends >> tid & 1:
+            mask[tid] = True
 
 
 def reference_mask(state, cc):
@@ -503,26 +558,55 @@ def assert_same_legal_set(state, cc):
     return ids
 
 
-@settings(max_examples=60, deadline=None)
-@given(control_specs(), st.integers(0, 2**32 - 1), st.booleans())
-def test_legal_ids_match_reference_masks(spec, seed, tamper):
-    # Walk the machine under the control.  With ``tamper``, each state is
-    # also compared with a copy whose tracks_emitted is overwritten, which
-    # reaches states where the forced tracks conflict; the copy is never
-    # advanced, because update_state may reject what such a mask allows.
+def controlled_walk(spec, seed, tamper, steps=400):
+    """Yield the states of a random walk under ``spec``.
+
+    With ``tamper``, each state is preceded by a copy whose
+    tracks_emitted is overwritten, which reaches states where the forced
+    tracks conflict; the copies are only inspected, never advanced.  The
+    walk advances each state in place once the caller resumes it.
+    """
     rng = np.random.default_rng(seed)
     cc = compile_control(spec)
     state = initial_state(spec)
-    for _ in range(400):
+    for _ in range(steps):
         if state.terminal:
-            break
+            return
         if tamper:
-            other = state.clone()
+            other = copy.copy(state)
             other.tracks_emitted = int(rng.integers(1 << len(TRACKS)))
-            assert_same_legal_set(other, cc)
-        ids = assert_same_legal_set(state, cc)
-        token = int(ids[rng.integers(len(ids))])
-        state = update_state(RULES, state, token)
+            yield other
+        yield state
+        ids = legal_ids(RULES, state, cc)
+        state = update_state(RULES, state, int(ids[rng.integers(len(ids))]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(control_specs(), st.integers(0, 2**32 - 1), st.booleans())
+def test_legal_ids_match_reference_masks(spec, seed, tamper):
+    cc = compile_control(spec)
+    for state in controlled_walk(spec, seed, tamper):
+        assert_same_legal_set(state, cc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(control_specs(), st.integers(0, 2**32 - 1), st.booleans())
+def test_controlled_mask_is_within_the_grammar_mask(spec, seed, tamper):
+    # update_state accepts exactly the grammar mask, so this is what lets
+    # it accept every token drawn from a controlled mask.
+    cc = compile_control(spec)
+    for state in controlled_walk(spec, seed, tamper):
+        grammar = fsm._legal_bits(RULES, state, fsm._NO_CONTROL)
+        assert fsm._legal_bits(RULES, state, cc) & ~grammar == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(control_specs(), st.integers(0, 2**32 - 1))
+def test_uniform_samples_under_random_controls_validate_and_replay(spec, seed):
+    result = constrained_sample(UniformModel(), RULES, spec, SamplerConfig(rng_seed=seed))
+    assert not result.truncated
+    assert validate(result.tokens) == []
+    assert replay(RULES, result.tokens, spec).terminal
 
 
 def test_mask_for_state_is_a_fresh_array():
@@ -530,16 +614,6 @@ def test_mask_for_state_is_a_fresh_array():
     first = mask_for_state(RULES, state)
     first[:] = False
     assert mask_for_state(RULES, state).any()
-
-
-def test_clone_copies_every_slot():
-    state = initial_state(None)
-    for i, name in enumerate(fsm.FsmState.__slots__):
-        setattr(state, name, ("value", i))
-    other = state.clone()
-    assert other is not state
-    for name in fsm.FsmState.__slots__:
-        assert getattr(other, name) == getattr(state, name)
 
 
 def test_control_json_rejects_non_array_track_lists():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sympac.errors import ModelFormatError
+from sympac.errors import ModelFormatError, SympacError
 from sympac.lm import (
     NgramModel,
     UniformModel,
@@ -11,6 +12,7 @@ from sympac.lm import (
     train_ngram,
 )
 from sympac.vocab import VOCAB_SIZE
+from synthcorpus import damaged
 
 
 def brute_force_probability(corpus, order, discount, context, token):
@@ -146,6 +148,16 @@ def test_load_rejects_corruption():
         load_model(blob[:-3])
     with pytest.raises(ModelFormatError, match="trailing"):
         load_model(blob + b"\x00")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_damaged_model_bytes_load_or_raise_model_format_error(data):
+    blob = save_model(train_ngram([[1, 2, 3, 2, 1], [4, 2, 3]], order=3))
+    try:
+        load_model(damaged(blob, data))
+    except SympacError:
+        pass
 
 
 def test_tiny_model_round_trips():
