@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -129,6 +131,20 @@ def _gather_inputs(paths: list[str]) -> list[Path]:
     return out
 
 
+def _map_jobs(fn, items, jobs: int, initializer=None, initargs=()) -> list:
+    """``[fn(item) for item in items]``, spread over ``jobs`` worker
+    processes when ``jobs`` > 1.  ``initializer(*initargs)`` runs first in
+    every process that calls ``fn``: each worker, or this one."""
+    if jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=jobs, initializer=initializer, initargs=initargs
+        ) as pool:
+            return list(pool.map(fn, items))
+    if initializer is not None:
+        initializer(*initargs)
+    return [fn(item) for item in items]
+
+
 # ---------------------------------------------------------------------------
 # ingest
 
@@ -153,6 +169,14 @@ def _ingest_file(path: Path, default_genre: str) -> list[tuple[str, list[int]]]:
     return [(s.source_id, encode_song(quantize_to_grid(s))) for s in songs]
 
 
+def _ingest_or_reject(path: Path, genre: str) -> list[tuple[str, list[int]]] | Exception:
+    """The sequences of one input file, or the error that rejects it."""
+    try:
+        return _ingest_file(path, genre)
+    except (SympacError, OSError, UnicodeDecodeError) as exc:
+        return exc
+
+
 def _cmd_ingest(args, config: dict) -> int:
     inputs = _gather_inputs(args.inputs)
     if not inputs:
@@ -160,32 +184,14 @@ def _cmd_ingest(args, config: dict) -> int:
     genre = _cfg(args, config, "genre", "Pop")
     if genre not in GENRES:
         raise _Usage(f"unknown genre {genre!r}")
-    jobs = _cfg(args, config, "jobs", 1)
+    jobs = int(_cfg(args, config, "jobs", 1))
 
-    results: dict[Path, list | Exception] = {}
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(_ingest_file, path, genre): path for path in inputs
-            }
-            for future in concurrent.futures.as_completed(futures):
-                path = futures[future]
-                try:
-                    results[path] = future.result()
-                except (SympacError, OSError, UnicodeDecodeError) as exc:
-                    results[path] = exc
-    else:
-        for path in inputs:
-            try:
-                results[path] = _ingest_file(path, genre)
-            except (SympacError, OSError, UnicodeDecodeError) as exc:
-                results[path] = exc
+    results = _map_jobs(functools.partial(_ingest_or_reject, genre=genre), inputs, jobs)
 
     sequences: list[list[int]] = []
     lengths: list[int] = []
     failures = 0
-    for path in inputs:  # deterministic merge order
-        result = results[path]
+    for path, result in zip(inputs, results):  # input order, whatever the jobs
         if isinstance(result, Exception):
             failures += 1
             print(f"reject {path}: {result}", file=sys.stderr)
@@ -256,18 +262,7 @@ def _control_from_args(args, config: dict) -> ControlSpec:
         )
     if getattr(args, "bars", None) is not None:
         updates["n_bars"] = args.bars
-    if not updates:
-        return spec
-    return ControlSpec(
-        genre=updates.get("genre", spec.genre),
-        bpm_level=updates.get("bpm_level", spec.bpm_level),
-        sections=updates.get("sections", spec.sections),
-        chords=updates.get("chords", spec.chords),
-        chord_schedule=spec.chord_schedule,
-        allowed_tracks=updates.get("allowed_tracks", spec.allowed_tracks),
-        forced_tracks=updates.get("forced_tracks", spec.forced_tracks),
-        n_bars=updates.get("n_bars", spec.n_bars),
-    )
+    return dataclasses.replace(spec, **updates)
 
 
 # What `generate` samples with in this process, set once by _gen_init (the
@@ -349,14 +344,7 @@ def _cmd_generate(args, config: dict) -> int:
     control_doc = control.to_json() if control is not None else None
     run_args = (str(model_path), control_doc, sampler_kwargs)
     seeds = range(seed, seed + n_samples)
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=jobs, initializer=_gen_init, initargs=run_args
-        ) as pool:
-            results = list(pool.map(_gen_worker, seeds))
-    else:
-        _gen_init(*run_args)
-        results = [_gen_worker(s) for s in seeds]
+    results = _map_jobs(_gen_worker, seeds, jobs, _gen_init, run_args)
 
     outputs = []
     truncated_count = 0
@@ -411,21 +399,14 @@ def _decode_file(file: str):
     return decode_sequence(tokens, source_id=Path(file).stem)
 
 
-def _decode_dir(path: Path, jobs: int = 1):
-    files = sorted(path.glob("*.tokens"))
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_decode_file, [str(f) for f in files]))
-    return [_decode_file(str(f)) for f in files]
-
-
 def _cmd_evaluate(args, config: dict) -> int:
     which = set((args.which or "kld").split(","))
     unknown = which - {"kld", "chords", "structure"}
     if unknown:
         raise _Usage(f"unknown evaluation(s): {', '.join(sorted(unknown))}")
     gen_dir = Path(args.generated)
-    songs = _decode_dir(gen_dir, int(_cfg(args, config, "jobs", 1)))
+    files = [str(f) for f in sorted(gen_dir.glob("*.tokens"))]
+    songs = _map_jobs(_decode_file, files, int(_cfg(args, config, "jobs", 1)))
     if not songs:
         print(f"no token files in {gen_dir}", file=sys.stderr)
         return EXIT_DATA

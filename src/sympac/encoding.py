@@ -214,6 +214,28 @@ def _scan_drum_part(scan: _Scan, bar: _BarData) -> None:
         first = False
 
 
+def _scan_section(scan: _Scan, in_prompt: bool) -> list[_BarData]:
+    """The bars of the prompt or the song section, from just after its
+    first bar token through the token that closes the section."""
+    section, closer = ("prompt", "end_of_prompt") if in_prompt else ("song", "end_of_song")
+    bars = []
+    while True:
+        bars.append(_scan_bar(scan, in_prompt))
+        if scan.done():
+            raise _Stop(
+                Violation(len(scan.seq), f"sequence ends inside the {section} section",
+                          ("bar", closer))
+            )
+        kind = scan.peek_kind()
+        if kind not in ("bar", closer):
+            raise _Stop(
+                Violation(scan.pos, f"expected bar or {closer}, found {kind}", ("bar", closer))
+            )
+        scan.pos += 1
+        if kind == closer:
+            return bars
+
+
 def _parse(seq: list[int]) -> tuple[list[_BarData], list[_BarData]]:
     """Parse into (prompt_bars, song_bars); raise _Stop on the first violation."""
     for i, tok in enumerate(seq):
@@ -224,49 +246,10 @@ def _parse(seq: list[int]) -> tuple[list[_BarData], list[_BarData]]:
     if scan.done():
         raise _Stop(Violation(0, "expected bar at index 0", ("bar",)))
 
-    prompt_bars: list[_BarData] = []
-    song_bars: list[_BarData] = []
-
     scan.take("bar", "at the start of the sequence")
-    while True:
-        prompt_bars.append(_scan_bar(scan, in_prompt=True))
-        if scan.done():
-            raise _Stop(
-                Violation(len(seq), "sequence ends inside the prompt section",
-                          ("bar", "end_of_prompt"))
-            )
-        kind = scan.peek_kind()
-        if kind == "bar":
-            scan.pos += 1
-            continue
-        if kind == "end_of_prompt":
-            scan.pos += 1
-            break
-        raise _Stop(
-            Violation(scan.pos, f"expected bar or end_of_prompt, found {kind}",
-                      ("bar", "end_of_prompt"))
-        )
-
+    prompt_bars = _scan_section(scan, in_prompt=True)
     scan.take("bar", "after end_of_prompt")
-    while True:
-        song_bars.append(_scan_bar(scan, in_prompt=False))
-        if scan.done():
-            raise _Stop(
-                Violation(len(seq), "sequence ends inside the song section",
-                          ("bar", "end_of_song"))
-            )
-        kind = scan.peek_kind()
-        if kind == "bar":
-            scan.pos += 1
-            continue
-        if kind == "end_of_song":
-            scan.pos += 1
-            break
-        raise _Stop(
-            Violation(scan.pos, f"expected bar or end_of_song, found {kind}",
-                      ("bar", "end_of_song"))
-        )
-
+    song_bars = _scan_section(scan, in_prompt=False)
     if not scan.done():
         raise _Stop(Violation(scan.pos, "content after end_of_song"))
 

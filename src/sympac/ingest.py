@@ -229,24 +229,30 @@ def _parse_rows(doc: dict, key: str, types: tuple) -> list[tuple]:
         if not isinstance(row, (list, tuple)) or len(row) != len(types):
             raise ParseError(f"{key}[{i}]: expected an array of {len(types)} values")
         try:
-            out.append(tuple(convert(value) for convert, value in zip(types, row)))
+            values = tuple(convert(value) for convert, value in zip(types, row))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{key}[{i}]: {exc}") from None
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise ParseError(f"{key}[{i}]: time values must be finite, got {list(values)}")
+        out.append(values)
     return out
 
 
 def parse_annotations(data: bytes | str) -> AnnotatedSong:
     """Parse one annotation JSON document into a validated AnnotatedSong.
 
-    Unknown top-level fields are ignored.  Malformed JSON raises
-    ParseError with line context, and so does a row value that does not
-    convert to its field's type; invariant violations raise
+    Unknown top-level fields are ignored.  Bytes that are not UTF-8 and
+    malformed JSON raise ParseError (the latter with line context), and
+    so does a row value that does not convert to its field's type or a
+    time that is not finite; invariant violations raise
     ValidationError naming the first offending element.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
         doc = json.loads(data)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
@@ -307,7 +313,9 @@ def _nearest_step(time: float, bar_start: float, step_dur: float) -> int:
 
 
 def _round_duration(seconds: float, step_dur: float) -> int:
-    length = math.ceil(seconds / step_dur - 0.5)
+    # Clamp before rounding: a note longer than any float can count in
+    # steps would overflow math.ceil.
+    length = math.ceil(min(seconds / step_dur, MAX_DURATION) - 0.5)
     return min(max(length, 1), MAX_DURATION)
 
 
@@ -363,6 +371,10 @@ def quantize_to_grid(song: AnnotatedSong) -> GridSong:
     starts = [s for s, _ in spans]
     for start, end in spans:
         step_dur = (end - start) / N_STEPS
+        if not 0.0 < step_dur < math.inf:
+            raise ValidationError(
+                f"bar at {start} s: length {end - start} s does not split into {N_STEPS} steps"
+            )
         mid = start + (end - start) / 2.0
 
         lo = bisect.bisect_left(beat_times, start)

@@ -186,7 +186,12 @@ def load_model(data: bytes) -> NgramModel:
             offset += 2 * ctx_len
             nxt, count = struct.unpack_from("<HQ", data, offset)
             offset += 10
-            if ctx_len >= order or nxt >= VOCAB_SIZE or count < 1:
+            if (
+                ctx_len >= order
+                or nxt >= VOCAB_SIZE
+                or (ctx and max(ctx) >= VOCAB_SIZE)
+                or count < 1
+            ):
                 raise ModelFormatError(f"corrupt count entry at byte {offset}")
             model._counts[ctx_len].setdefault(tuple(ctx), {})[nxt] = count
     except struct.error as exc:

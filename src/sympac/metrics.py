@@ -5,20 +5,23 @@ Seventeen metric families describe a corpus: three chord metrics
 seven note metrics per melodic track, and four drum metrics.  Each
 yields a discrete distribution; corpora are compared metric by metric
 with smoothed KL divergence and averaged within seven metric classes
-(chord, structure, one per melodic track, drums).
+(chord, structure, one per melodic track, drums).  Every metric is one
+row of the table ``_METRICS``; the public name lists derive from it.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
+import pathlib
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .ingest import GridSong
+from .ingest import GridBar, GridSong
 from .vocab import NO_CHORD, TRACKS, chord_root
 
 DEFAULT_EPSILON = 1e-6
@@ -27,49 +30,6 @@ _UNIFORMITY_BIN = 0.05
 
 # Metric display order follows the per-metric report layout.
 METRIC_TRACK_ORDER = ("vocal", "guitar", "piano", "bass")
-_TRACK_METRIC_SUFFIXES = (
-    ("note_pitch", "Note Pitch"),
-    ("note_duration", "Note Duration"),
-    ("pitch_class", "Pitch Class"),
-    ("min_pitch_per_bar", "Min Pitch Per Bar"),
-    ("max_pitch_per_bar", "Max Pitch Per Bar"),
-    ("max_notes_per_bar", "Max #Notes"),
-    ("notes_uniformity", "#Notes Uniformity"),
-)
-
-METRIC_CLASSES: dict[str, tuple[str, ...]] = {
-    "Chord": ("chord_label", "chord_root", "chord_transition"),
-    "Structure": ("section_label", "section_label_bigram", "instrument_labels_per_bar"),
-    **{
-        f"{track.capitalize()} Note": tuple(
-            f"{track}_{suffix}" for suffix, _ in _TRACK_METRIC_SUFFIXES
-        )
-        for track in METRIC_TRACK_ORDER
-    },
-    "Drum Note": ("drum_pitch", "max_drums_per_bar", "drum_uniformity", "unique_drums_per_bar"),
-}
-
-ALL_METRICS: tuple[str, ...] = tuple(
-    name for names in METRIC_CLASSES.values() for name in names
-)
-
-METRIC_DISPLAY: dict[str, str] = {
-    "chord_label": "Chord Label",
-    "chord_root": "Chord Root",
-    "chord_transition": "Chord Transition",
-    "section_label": "Section Label",
-    "section_label_bigram": "Section Label Bigram",
-    "instrument_labels_per_bar": "Instrument Labels Per Bar",
-    "drum_pitch": "Drum Pitch",
-    "max_drums_per_bar": "Max #Drum",
-    "drum_uniformity": "#Drum Uniformity",
-    "unique_drums_per_bar": "Unique Drums Per Bar",
-    **{
-        f"{track}_{suffix}": display
-        for track in METRIC_TRACK_ORDER
-        for suffix, display in _TRACK_METRIC_SUFFIXES
-    },
-}
 
 
 @dataclass(frozen=True)
@@ -106,165 +66,135 @@ def beat_chords(song: GridSong) -> list[str]:
     return out
 
 
-def _section_runs(song: GridSong) -> list[tuple[str, int]]:
-    runs: list[list] = []
-    for bar in song.bars:
-        if runs and runs[-1][0] == bar.section:
-            runs[-1][1] += 1
-        else:
-            runs.append([bar.section, 1])
-    return [(label, n) for label, n in runs]
-
-
-def _uniformity(counts: list[int]) -> float | None:
-    total = sum(counts)
-    if total == 0:
-        return None
-    n_bars = len(counts)
-    entropy = 0.0
-    for c in counts:
-        if c:
-            p = c / total
-            entropy += p * math.log(p * n_bars)
-    return entropy
-
-
-def _bin_uniformity(value: float) -> float:
-    return round(math.floor(value / _UNIFORMITY_BIN) * _UNIFORMITY_BIN, 2)
-
-
-def _iter_chord_label(song: GridSong) -> Iterator:
-    yield from beat_chords(song)
-
-
-def _iter_chord_root(song: GridSong) -> Iterator:
-    for symbol in beat_chords(song):
-        yield chord_root(symbol)
-
-
-def _iter_chord_transition(song: GridSong) -> Iterator:
+def _chord_transitions(song: GridSong) -> Iterator[tuple[str, str]]:
     stream = beat_chords(song)
-    for a, b in zip(stream, stream[1:]):
-        if a != b:
-            yield (a, b)
+    return ((a, b) for a, b in zip(stream, stream[1:]) if a != b)
 
 
-def _iter_section_label(song: GridSong) -> Iterator:
-    for bar in song.bars:
-        yield bar.section
+def _section_bigrams(song: GridSong) -> Iterator[tuple[str, str]]:
+    """Consecutive pairs of section runs (a run is counted once)."""
+    runs = [label for label, _ in itertools.groupby(bar.section for bar in song.bars)]
+    return zip(runs, runs[1:])
 
 
-def _iter_section_bigram(song: GridSong) -> Iterator:
-    runs = _section_runs(song)
-    for (a, _), (b, _) in zip(runs, runs[1:]):
-        yield (a, b)
+def _instrument_labels(bar: GridBar) -> tuple[str, ...]:
+    return tuple(
+        label for label in TRACKS if (label == "drums" and bar.drums) or bar.tracks.get(label)
+    )
 
 
-def _iter_instrument_labels(song: GridSong) -> Iterator:
-    for bar in song.bars:
-        present = tuple(
-            label
-            for label in TRACKS
-            if (label == "drums" and bar.drums) or bar.tracks.get(label)
-        )
-        yield present
+def _unique_drums(song: GridSong) -> Iterator[tuple[int, ...]]:
+    return (tuple(sorted({key for _, key in bar.drums})) for bar in song.bars if bar.drums)
 
 
-def _track_metric(track: str, suffix: str) -> Callable[[GridSong], Iterator]:
-    def iter_note_pitch(song):
-        for bar in song.bars:
-            for note in bar.tracks.get(track, ()):
-                yield note.pitch
-
-    def iter_note_duration(song):
-        for bar in song.bars:
-            for note in bar.tracks.get(track, ()):
-                yield note.duration
-
-    def iter_pitch_class(song):
-        for bar in song.bars:
-            for note in bar.tracks.get(track, ()):
-                yield note.pitch % 12
-
-    def iter_min_pitch(song):
-        for bar in song.bars:
-            notes = bar.tracks.get(track)
-            if notes:
-                yield min(n.pitch for n in notes)
-
-    def iter_max_pitch(song):
-        for bar in song.bars:
-            notes = bar.tracks.get(track)
-            if notes:
-                yield max(n.pitch for n in notes)
-
-    def iter_max_notes(song):
-        counts = [len(bar.tracks.get(track, ())) for bar in song.bars]
-        if any(counts):
-            yield max(counts)
-
-    def iter_uniformity(song):
-        value = _uniformity([len(bar.tracks.get(track, ())) for bar in song.bars])
-        if value is not None:
-            yield _bin_uniformity(value)
-
-    return {
-        "note_pitch": iter_note_pitch,
-        "note_duration": iter_note_duration,
-        "pitch_class": iter_pitch_class,
-        "min_pitch_per_bar": iter_min_pitch,
-        "max_pitch_per_bar": iter_max_pitch,
-        "max_notes_per_bar": iter_max_notes,
-        "notes_uniformity": iter_uniformity,
-    }[suffix]
+def _drum_count(bar: GridBar) -> int:
+    return len(bar.drums)
 
 
-def _iter_drum_pitch(song: GridSong) -> Iterator:
-    for bar in song.bars:
-        for _, key in bar.drums:
-            yield key
-
-
-def _iter_max_drums(song: GridSong) -> Iterator:
-    counts = [len(bar.drums) for bar in song.bars]
+def _largest_bar_count(song: GridSong, count: Callable[[GridBar], int]) -> Iterator[int]:
+    """The largest per-bar count, if any bar counts something."""
+    counts = [count(bar) for bar in song.bars]
     if any(counts):
         yield max(counts)
 
 
-def _iter_drum_uniformity(song: GridSong) -> Iterator:
-    value = _uniformity([len(bar.drums) for bar in song.bars])
-    if value is not None:
-        yield _bin_uniformity(value)
+def _binned_uniformity(song: GridSong, count: Callable[[GridBar], int]) -> Iterator[float]:
+    """Relative entropy of the per-bar counts against an even spread,
+    floored to a multiple of the uniformity bin; nothing if all are zero."""
+    counts = [count(bar) for bar in song.bars]
+    total = sum(counts)
+    if total == 0:
+        return
+    entropy = 0.0
+    for c in counts:
+        if c:
+            p = c / total
+            entropy += p * math.log(p * len(counts))
+    yield round(math.floor(entropy / _UNIFORMITY_BIN) * _UNIFORMITY_BIN, 2)
 
 
-def _iter_unique_drums(song: GridSong) -> Iterator:
-    for bar in song.bars:
-        if bar.drums:
-            yield tuple(sorted({key for _, key in bar.drums}))
+class _Metric(NamedTuple):
+    """One row of the metric table."""
+
+    cls: str  # the report class whose mean the metric joins
+    name: str
+    display: str
+    values: Callable[[GridSong], Iterable]  # the values one song contributes
 
 
-def _extractor(metric_name: str) -> Callable[[GridSong], Iterator]:
-    simple = {
-        "chord_label": _iter_chord_label,
-        "chord_root": _iter_chord_root,
-        "chord_transition": _iter_chord_transition,
-        "section_label": _iter_section_label,
-        "section_label_bigram": _iter_section_bigram,
-        "instrument_labels_per_bar": _iter_instrument_labels,
-        "drum_pitch": _iter_drum_pitch,
-        "max_drums_per_bar": _iter_max_drums,
-        "drum_uniformity": _iter_drum_uniformity,
-        "unique_drums_per_bar": _iter_unique_drums,
-    }
-    if metric_name in simple:
-        return simple[metric_name]
-    for track in METRIC_TRACK_ORDER:
-        prefix = f"{track}_"
-        if metric_name.startswith(prefix):
-            suffix = metric_name[len(prefix) :]
-            if any(suffix == s for s, _ in _TRACK_METRIC_SUFFIXES):
-                return _track_metric(track, suffix)
-    raise ValueError(f"unknown metric {metric_name!r}")
+def _track_metrics(track: str) -> list[_Metric]:
+    """The seven note metrics of one melodic track."""
+
+    def notes(song):
+        return [note for bar in song.bars for note in bar.tracks.get(track, ())]
+
+    def bar_pitches(song):
+        """The pitches of each bar in which the track plays."""
+        return [[n.pitch for n in bar.tracks[track]] for bar in song.bars if bar.tracks.get(track)]
+
+    def n_notes(bar):
+        return len(bar.tracks.get(track, ()))
+
+    template = (
+        ("note_pitch", "Note Pitch", lambda song: (n.pitch for n in notes(song))),
+        ("note_duration", "Note Duration", lambda song: (n.duration for n in notes(song))),
+        ("pitch_class", "Pitch Class", lambda song: (n.pitch % 12 for n in notes(song))),
+        ("min_pitch_per_bar", "Min Pitch Per Bar", lambda song: map(min, bar_pitches(song))),
+        ("max_pitch_per_bar", "Max Pitch Per Bar", lambda song: map(max, bar_pitches(song))),
+        ("max_notes_per_bar", "Max #Notes", lambda song: _largest_bar_count(song, n_notes)),
+        ("notes_uniformity", "#Notes Uniformity", lambda song: _binned_uniformity(song, n_notes)),
+    )
+    cls = f"{track.capitalize()} Note"
+    return [
+        _Metric(cls, f"{track}_{suffix}", display, values) for suffix, display, values in template
+    ]
+
+
+# The metric list, in report order: each metric's class, name, display
+# name, and the values one song contributes to its distribution.
+_METRICS: tuple[_Metric, ...] = (
+    _Metric("Chord", "chord_label", "Chord Label", beat_chords),
+    _Metric("Chord", "chord_root", "Chord Root", lambda song: map(chord_root, beat_chords(song))),
+    _Metric("Chord", "chord_transition", "Chord Transition", _chord_transitions),
+    _Metric(
+        "Structure", "section_label", "Section Label", lambda song: (b.section for b in song.bars)
+    ),
+    _Metric("Structure", "section_label_bigram", "Section Label Bigram", _section_bigrams),
+    _Metric(
+        "Structure",
+        "instrument_labels_per_bar",
+        "Instrument Labels Per Bar",
+        lambda song: map(_instrument_labels, song.bars),
+    ),
+    *(metric for track in METRIC_TRACK_ORDER for metric in _track_metrics(track)),
+    _Metric(
+        "Drum Note",
+        "drum_pitch",
+        "Drum Pitch",
+        lambda song: (key for bar in song.bars for _, key in bar.drums),
+    ),
+    _Metric(
+        "Drum Note",
+        "max_drums_per_bar",
+        "Max #Drum",
+        lambda song: _largest_bar_count(song, _drum_count),
+    ),
+    _Metric(
+        "Drum Note",
+        "drum_uniformity",
+        "#Drum Uniformity",
+        lambda song: _binned_uniformity(song, _drum_count),
+    ),
+    _Metric("Drum Note", "unique_drums_per_bar", "Unique Drums Per Bar", _unique_drums),
+)
+_BY_NAME = {metric.name: metric for metric in _METRICS}
+
+METRIC_CLASSES: dict[str, tuple[str, ...]] = {
+    cls: tuple(metric.name for metric in group)
+    for cls, group in itertools.groupby(_METRICS, key=lambda metric: metric.cls)
+}
+ALL_METRICS: tuple[str, ...] = tuple(metric.name for metric in _METRICS)
+METRIC_DISPLAY: dict[str, str] = {metric.name: metric.display for metric in _METRICS}
 
 
 def extract_metric(corpus: list[GridSong], metric_name: str) -> MetricDistribution:
@@ -275,13 +205,11 @@ def extract_metric(corpus: list[GridSong], metric_name: str) -> MetricDistributi
     """
     if not corpus:
         raise ValueError("corpus is empty")
-    iterate = _extractor(metric_name)
-
-    def values():
-        for song in corpus:
-            yield from iterate(song)
-
-    return MetricDistribution.from_values(metric_name, values())
+    metric = _BY_NAME.get(metric_name)
+    if metric is None:
+        raise ValueError(f"unknown metric {metric_name!r}")
+    values = (value for song in corpus for value in metric.values(song))
+    return MetricDistribution.from_values(metric_name, values)
 
 
 def kld(
@@ -323,10 +251,9 @@ class KldReport:
         out = io.StringIO()
         writer = csv.writer(out)
         writer.writerow(["class", "metric", "kld"])
-        for cls, names in METRIC_CLASSES.items():
-            for name in names:
-                value = self.per_metric.get(name)
-                writer.writerow([cls, METRIC_DISPLAY[name], "" if value is None else f"{value:.6f}"])
+        for metric in _METRICS:
+            value = self.per_metric.get(metric.name)
+            writer.writerow([metric.cls, metric.display, "" if value is None else f"{value:.6f}"])
         return out.getvalue()
 
     def to_text(self) -> str:
@@ -338,11 +265,10 @@ class KldReport:
         lines.append("")
         lines.append("Per-metric KLD")
         lines.append("-" * 48)
-        for cls, names in METRIC_CLASSES.items():
-            for name in names:
-                value = self.per_metric.get(name)
-                shown = "n/a" if value is None else f"{value:.3f}"
-                lines.append(f"{cls:<12} {METRIC_DISPLAY[name]:<28} {shown}")
+        for metric in _METRICS:
+            value = self.per_metric.get(metric.name)
+            shown = "n/a" if value is None else f"{value:.3f}"
+            lines.append(f"{metric.cls:<12} {metric.display:<28} {shown}")
         return "\n".join(lines) + "\n"
 
 
@@ -374,18 +300,15 @@ def class_report(
 
 def save_report(report: KldReport, dir_path, stem: str = "kld_report") -> list[str]:
     """Write JSON, text, and CSV renderings; returns the file names."""
-    import pathlib
-
     directory = pathlib.Path(dir_path)
     directory.mkdir(parents=True, exist_ok=True)
     names = []
-    path = directory / f"{stem}.json"
-    path.write_text(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    names.append(path.name)
-    path = directory / f"{stem}.txt"
-    path.write_text(report.to_text())
-    names.append(path.name)
-    path = directory / f"{stem}.csv"
-    path.write_text(report.to_csv())
-    names.append(path.name)
+    for suffix, text in (
+        ("json", json.dumps(report.to_json(), indent=2, sort_keys=True)),
+        ("txt", report.to_text()),
+        ("csv", report.to_csv()),
+    ):
+        path = directory / f"{stem}.{suffix}"
+        path.write_text(text)
+        names.append(path.name)
     return names

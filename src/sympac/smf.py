@@ -31,6 +31,10 @@ _BASS_RANGE = range(32, 40)
 _EXPORT_PROGRAMS = {"vocal": 52, "piano": 0, "guitar": 24, "bass": 32}
 _DRUM_CHANNEL = 9
 _MELODIC_CHANNELS = tuple(c for c in range(16) if c != _DRUM_CHANNEL)
+# Import builds one beat per quarter note up to the last event, so the
+# song length is capped (2**16 beats is about 9 h at 120 bpm): a garbled
+# delta time must not ask for hundreds of millions of beats.
+MAX_IMPORT_BEATS = 1 << 16
 
 
 class _Reader:
@@ -233,6 +237,11 @@ def import_smf(data: bytes, source_id: str = "", genre: str = "Pop") -> Annotate
     tempo_map = _TempoMap(tempo_changes, tpq)
 
     n_beats = -(-last_tick // tpq)  # ceil
+    if n_beats > MAX_IMPORT_BEATS:
+        raise ValidationError(
+            f"last event at tick {last_tick} is beat {n_beats}; "
+            f"at most {MAX_IMPORT_BEATS} beats are supported"
+        )
     n_beats = max(n_beats, 1)
     n_bars = -(-n_beats // meter)
     beats = [

@@ -41,6 +41,24 @@ def test_ingest_reports_rejects_but_succeeds(workspace, capsys):
     assert "rejects 1" in captured.out
 
 
+def test_ingest_rejects_a_non_finite_time_and_keeps_the_rest(workspace, capsys):
+    doc = json.loads((workspace / "song0.json").read_text())
+    doc["vocal"][0][0] = "nan"
+    (workspace / "bad.json").write_text(json.dumps(doc))
+    good = str(workspace / "song1.json")
+    rc = main(["ingest", str(workspace / "bad.json"), good, "--out", str(workspace / "c.bin")])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert "bad.json" in captured.err and "finite" in captured.err
+    assert len(read_corpus(workspace / "c.bin")) == 1
+
+
+def test_ingest_reads_jobs_from_a_config_file_like_the_other_commands(workspace):
+    (workspace / "cfg.json").write_text(json.dumps({"jobs": "1"}))
+    argv = ["--config", str(workspace / "cfg.json"), "ingest", str(workspace / "song0.json")]
+    assert main([*argv, "--out", str(workspace / "c.bin")]) == 0
+
+
 def test_ingest_all_failures_exit_data(tmp_path, capsys):
     (tmp_path / "broken.json").write_text("{")
     rc = main(["ingest", str(tmp_path / "broken.json"), "--out", str(tmp_path / "c.bin")])

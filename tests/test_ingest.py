@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sympac.errors import ParseError, ValidationError
+from sympac.errors import ParseError, SympacError, ValidationError
 from sympac.ingest import (
     AnnotatedSong,
     BeatEvent,
@@ -15,7 +17,7 @@ from sympac.ingest import (
     render_annotations,
     serialize_annotations,
 )
-from synthcorpus import random_annotated_song, random_grid_song
+from synthcorpus import damaged, random_annotated_song, random_grid_song
 
 
 def _doc(**overrides):
@@ -64,11 +66,47 @@ def test_parse_malformed_json_reports_line():
         (_doc(beats=[["x", 1]]), r"beats\[0\]"),
         (_doc(vocal=[[0.0, 1.0, None]]), r"vocal\[0\]"),
         ('{"genre": "Pop", "drums": [[0.0, 1e400]]}', r"drums\[0\]"),
+        (_doc(vocal=[["nan", 1.0, 60]]), r"vocal\[0\].*finite"),
+        (_doc(beats=[[0.0, 1], ["inf", 2]]), r"beats\[1\].*finite"),
+        (_doc(beats=[[0.0, 1], [0.5, 2], ["nan", 3]]), r"beats\[2\].*finite"),
+        ('{"genre": "Pop", "chords": [[0.0, Infinity, "C:maj"]]}', r"chords\[0\].*finite"),
+        ('{"genre": "Pop", "drums": [[NaN, 36]]}', r"drums\[0\].*finite"),
+        (b"\xff", "not UTF-8"),
     ],
 )
 def test_parse_rejects_unconvertible_values(data, where):
     with pytest.raises(ParseError, match=where):
         parse_annotations(data)
+
+
+@pytest.mark.parametrize(
+    "beats",
+    [
+        [[0.0, 1], [5e-324, 2], [1e-323, 3], [1.5e-323, 4], [2e-323, 1]],
+        [[-1.7e308, 1], [1.7e308, 2]],
+    ],
+)
+def test_quantize_rejects_bars_too_short_or_long_for_the_grid(beats):
+    song = parse_annotations(_doc(beats=beats, vocal=[[0.0, 1.0, 60]]))
+    with pytest.raises(ValidationError, match="does not split"):
+        quantize_to_grid(song)
+
+
+def test_quantize_clamps_a_note_too_long_to_count_in_steps():
+    song = parse_annotations(_doc(vocal=[[0.0, 1.7e308, 60]]))
+    (note,) = quantize_to_grid(song).bars[0].tracks["vocal"]
+    assert note.duration == 32
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_damaged_annotation_bytes_parse_or_raise_sympac_error(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    blob = serialize_annotations(random_annotated_song(rng)).encode()
+    try:
+        quantize_to_grid(parse_annotations(damaged(blob, data)))
+    except SympacError:
+        pass
 
 
 def test_parse_ignores_unknown_fields():

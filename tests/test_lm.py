@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,6 +150,16 @@ def test_load_rejects_corruption():
         load_model(blob[:-3])
     with pytest.raises(ModelFormatError, match="trailing"):
         load_model(blob + b"\x00")
+
+
+def test_load_rejects_context_id_outside_vocabulary():
+    header = save_model(train_ngram([[1, 2, 3]], order=2))[:20]
+    entry = struct.pack("<BHHQ", 1, VOCAB_SIZE - 1, 5, 1)  # context (335,) -> 5, count 1
+    good = load_model(header + struct.pack("<Q", 1) + entry)
+    assert list(good.iter_counts()) == [((VOCAB_SIZE - 1,), 5, 1)]
+    bad = struct.pack("<BHHQ", 1, 400, 5, 1)
+    with pytest.raises(ModelFormatError, match="corrupt count entry"):
+        load_model(header + struct.pack("<Q", 1) + bad)
 
 
 @settings(max_examples=200, deadline=None)

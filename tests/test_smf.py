@@ -9,11 +9,19 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sympac.errors import EmptySongError, ParseError, UnsupportedFormatError, ValidationError
+from sympac.errors import (
+    EmptySongError,
+    ParseError,
+    SympacError,
+    UnsupportedFormatError,
+    ValidationError,
+)
 from sympac.ingest import GridNote, quantize_to_grid
-from sympac.smf import export_smf, import_smf
-from synthcorpus import random_grid_song
+from sympac.smf import MAX_IMPORT_BEATS, export_smf, import_smf
+from synthcorpus import damaged, random_grid_song
 
 
 def _var(n: int) -> bytes:
@@ -314,3 +322,26 @@ def test_import_three_four_meter():
     assert len(grid.bars) == 1
     # a 3-beat note fills the whole 16-step bar
     assert grid.bars[0].tracks["piano"] == [GridNote(0, 16, 60)]
+
+
+def _note_at(tick: int, tpq: int) -> bytes:
+    events = b"\x00" + bytes([0x90, 60, 100]) + _var(tick) + bytes([0x80, 60, 0])
+    return _header(0, 1, tpq) + _track(events)
+
+
+def test_import_bounds_the_beat_count():
+    song = import_smf(_note_at(MAX_IMPORT_BEATS, 1))
+    assert len(song.beats) == MAX_IMPORT_BEATS + 1
+    with pytest.raises(ValidationError, match="beats are supported"):
+        import_smf(_note_at(MAX_IMPORT_BEATS + 1, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_damaged_smf_bytes_import_or_raise_sympac_error(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    blob = export_smf(random_grid_song(rng, max_bars=3), 120.0)
+    try:
+        import_smf(damaged(blob, data))
+    except SympacError:
+        pass
