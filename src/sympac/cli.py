@@ -104,14 +104,31 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _cfg(args, config: dict, key: str, default):
-    """Explicit flag wins, then config file, then the built-in default."""
+def _whole(value) -> int:
+    """``int(value)`` for an integer or its string; a fraction or a boolean
+    raises ValueError rather than being rounded."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
+
+
+def _cfg(args, config: dict, key: str, default, convert=None):
+    """Explicit flag wins, then config file, then the built-in default.
+
+    A config value goes through ``convert`` (``null`` stays ``None`` where
+    the default is ``None``); one it cannot convert is a usage error."""
     value = getattr(args, key.replace("-", "_"), None)
     if value is not None:
         return value
-    if key in config:
-        return config[key]
-    return default
+    if key not in config:
+        return default
+    value = config[key]
+    if convert is None or (value is None and default is None):
+        return value
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise _Usage(f"config {key!r} has a value of the wrong type: {value!r}") from None
 
 
 def _gather_inputs(paths: list[str]) -> list[Path]:
@@ -184,7 +201,7 @@ def _cmd_ingest(args, config: dict) -> int:
     genre = _cfg(args, config, "genre", "Pop")
     if genre not in GENRES:
         raise _Usage(f"unknown genre {genre!r}")
-    jobs = int(_cfg(args, config, "jobs", 1))
+    jobs = _cfg(args, config, "jobs", 1, _whole)
 
     results = _map_jobs(functools.partial(_ingest_or_reject, genre=genre), inputs, jobs)
 
@@ -219,8 +236,8 @@ def _cmd_ingest(args, config: dict) -> int:
 # train
 
 def _cmd_train(args, config: dict) -> int:
-    order = int(_cfg(args, config, "order", DEFAULT_ORDER))
-    discount = float(_cfg(args, config, "discount", DEFAULT_DISCOUNT))
+    order = _cfg(args, config, "order", DEFAULT_ORDER, _whole)
+    discount = _cfg(args, config, "discount", DEFAULT_DISCOUNT, float)
     corpus = read_corpus(args.corpus)
     if not corpus:
         print("corpus is empty", file=sys.stderr)
@@ -323,21 +340,25 @@ def _cmd_generate(args, config: dict) -> int:
         model_path = args.model
         control_spec = _control_from_args(args, config)
         control = None if not control_spec.to_json() else control_spec
-        seed = _cfg(args, config, "seed", _env_seed())
-        n_samples = int(_cfg(args, config, "n_samples", 1))
+        seed = _cfg(args, config, "seed", _env_seed(), _whole)
+        n_samples = _cfg(args, config, "n_samples", 1, _whole)
         sampler_kwargs = {
-            "temperature": float(_cfg(args, config, "temperature", 1.0)),
-            "top_k": _cfg(args, config, "top_k", None),
-            "top_p": _cfg(args, config, "top_p", None),
-            "max_tokens": int(_cfg(args, config, "max_tokens", SamplerConfig.max_tokens)),
+            "temperature": _cfg(args, config, "temperature", 1.0, float),
+            "top_k": _cfg(args, config, "top_k", None, _whole),
+            "top_p": _cfg(args, config, "top_p", None, float),
+            "max_tokens": _cfg(args, config, "max_tokens", SamplerConfig.max_tokens, _whole),
         }
         write_midi = bool(args.midi)
         write_text = bool(args.text)
         model_sha256 = _sha256(Path(model_path))
     if n_samples < 1:
         raise _Usage(f"the sample count must be at least 1, got {n_samples}")
+    try:
+        SamplerConfig(**sampler_kwargs)
+    except (TypeError, ValueError) as exc:
+        raise _Usage(f"sampler settings: {exc}") from None
 
-    jobs = int(_cfg(args, config, "jobs", 1))
+    jobs = _cfg(args, config, "jobs", 1, _whole)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -406,7 +427,7 @@ def _cmd_evaluate(args, config: dict) -> int:
         raise _Usage(f"unknown evaluation(s): {', '.join(sorted(unknown))}")
     gen_dir = Path(args.generated)
     files = [str(f) for f in sorted(gen_dir.glob("*.tokens"))]
-    songs = _map_jobs(_decode_file, files, int(_cfg(args, config, "jobs", 1)))
+    songs = _map_jobs(_decode_file, files, _cfg(args, config, "jobs", 1, _whole))
     if not songs:
         print(f"no token files in {gen_dir}", file=sys.stderr)
         return EXIT_DATA

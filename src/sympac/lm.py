@@ -41,6 +41,7 @@ class UniformModel:
 
     def __init__(self) -> None:
         self._scores = np.zeros(VOCAB_SIZE)
+        self._scores.flags.writeable = False
 
     def score(self, context: Sequence[int]) -> np.ndarray:
         return self._scores
@@ -215,15 +216,25 @@ def load_model_file(path) -> NgramModel:
 
 
 def perplexity(model: NextTokenModel, corpus: Iterable[Sequence[int]]) -> float:
-    """exp of the mean negative log-likelihood over every token position."""
+    """exp of the mean negative log-likelihood over every token position.
+
+    Each position passes the model only its last ``context_limit``
+    tokens, and the log-normalizer of a shared read-only score array is
+    computed once, so the cost is linear in the corpus length."""
     total = 0.0
     count = 0
+    # id(scores) -> (scores, log-normalizer); holding the array keeps its id
+    lse_of: dict[int, tuple[np.ndarray, float]] = {}
     for seq in corpus:
         seq = list(seq)
         for i, token in enumerate(seq):
-            scores = model.score(seq[:i])
-            logp = scores - _logsumexp(scores)
-            total += float(logp[token])
+            scores = model.score(seq[max(0, i - model.context_limit) : i])
+            entry = lse_of.get(id(scores))
+            if entry is None:
+                entry = (scores, _logsumexp(scores))
+                if not scores.flags.writeable:
+                    lse_of[id(scores)] = entry
+            total += float(scores[token] - entry[1])
             count += 1
     if count == 0:
         raise ValueError("corpus has no tokens")

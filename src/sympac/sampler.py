@@ -10,6 +10,8 @@ the constraint set.
 
 from __future__ import annotations
 
+import weakref
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,13 @@ from .fsm import (
 )
 from .lm import NextTokenModel
 from .vocab import BAR_ID, VOCAB_SIZE
+
+
+# model -> {(temperature, top_k, top_p): {(id(scores), id(ids)): (scores,
+# ids, cumulative weights, legal ids)}}, the last two as Python lists.
+# Each entry holds both arrays, so the ids in its key stay taken while it
+# lives.
+_STEP_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -114,8 +123,19 @@ def constrained_sample(
     single legal id emits it without scoring the model but still consumes
     its draw, so a seed gives the stream it would give if every step
     were scored.
+
+    The cumulative probabilities of a step are a pure function of the
+    score array, the legal-id array and the settings.  When the model
+    returns a read-only score array, they are kept for as long as the
+    model lives and reused whenever both arrays recur, so a hit draws
+    from the very floats a miss would compute.
     """
     config = config or SamplerConfig()
+    settings = (config.temperature, config.top_k, config.top_p)
+    try:
+        cache = _STEP_CACHE.setdefault(model, {}).setdefault(settings, {})
+    except TypeError:  # the model cannot be weakly referenced or hashed
+        cache = {}
     cc = compile_control(control)
     state = initial_state(control)
     rng = np.random.default_rng(config.rng_seed)
@@ -128,12 +148,16 @@ def constrained_sample(
             rng.random()
             token = int(ids[0])
         else:
-            weights = _masked_weights(
-                model.score(seq), ids, config.temperature, config.top_k, config.top_p
-            )
-            cumulative = weights.cumsum()
-            r = rng.random() * cumulative[-1]
-            token = int(ids[cumulative.searchsorted(r, side="right")])
+            scores = model.score(seq)
+            key = (id(scores), id(ids))
+            entry = cache.get(key)
+            if entry is None:
+                weights = _masked_weights(scores, ids, *settings)
+                entry = (scores, ids, weights.cumsum().tolist(), ids.tolist())
+                if not scores.flags.writeable:
+                    cache[key] = entry
+            _, _, cumulative, tokens = entry
+            token = tokens[bisect_right(cumulative, rng.random() * cumulative[-1])]
         seq.append(token)
         state = update_state(rules, state, token)
     return SampleResult(seq, truncated=False)

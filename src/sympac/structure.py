@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
 
 from .ingest import GridSong
 from .vocab import BPM_BUCKET_MIDPOINTS, MELODIC_TRACKS, N_STEPS
@@ -181,6 +180,10 @@ def label_segments_2dfmc(
         raise ValueError("need at least one segment")
     if n_segments == 1:
         return ["0"]
+    # imported here: scipy is most of `import sympac.cli`, and most
+    # commands never cluster
+    from scipy.cluster.hierarchy import fcluster, linkage
+
     signatures = segment_signatures(features, boundaries, resample_beats)
     tree = linkage(signatures, method="average", metric="euclidean")
     raw = fcluster(tree, t=cluster_threshold, criterion="distance")

@@ -1,4 +1,5 @@
-"""Synthetic songs, corpora and damaged byte streams shared across tests.
+"""Synthetic songs, corpora, controls, plug-in models and damaged byte
+streams shared across tests.
 
 The chord-following builder writes accompaniments whose every pitch is
 determined by the bar's chord through short token contexts, so a
@@ -11,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
+from sympac.fsm import ControlSpec
 from sympac.ingest import (
     AnnotatedSong,
     BeatEvent,
@@ -22,7 +24,16 @@ from sympac.ingest import (
     NoteEvent,
     SectionSpan,
 )
-from sympac.vocab import CHORDS, GENRES, MELODIC_TRACKS, SECTIONS, chord_quality, chord_root_index
+from sympac.vocab import (
+    BPM_LABELS,
+    CHORDS,
+    GENRES,
+    MELODIC_TRACKS,
+    SECTIONS,
+    TRACKS,
+    chord_quality,
+    chord_root_index,
+)
 
 TRIAD_OFFSETS = {"maj": (0, 4, 7), "min": (0, 3, 7)}
 
@@ -248,3 +259,67 @@ def damaged(blob: bytes, data) -> bytes:
     for _ in range(data.draw(st.integers(1, 4))):
         out[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
     return bytes(out)
+
+
+@st.composite
+def control_specs(draw):
+    """Random valid ``ControlSpec``s over every control kind."""
+    sections = draw(st.none() | st.lists(st.sampled_from(SECTIONS), min_size=1, max_size=12))
+    if sections is not None:
+        n_bars = draw(st.sampled_from([None, len(sections)]))
+    else:
+        n_bars = draw(st.none() | st.integers(1, 12))
+    total = n_bars or (len(sections) if sections else 12)
+    chords = schedule = None
+    kind = draw(st.sampled_from(["none", "loop", "schedule"]))
+    if kind == "loop":
+        chords = tuple(draw(st.lists(st.sampled_from(CHORDS), min_size=1, max_size=6)))
+    elif kind == "schedule":
+        slots = draw(
+            st.dictionaries(
+                st.tuples(st.integers(0, total - 1), st.integers(0, 15)),
+                st.sampled_from(CHORDS),
+                min_size=1,
+                max_size=8,
+            )
+        )
+        schedule = tuple((bar, step, symbol) for (bar, step), symbol in slots.items())
+    allowed = draw(st.none() | st.frozensets(st.sampled_from(TRACKS)))
+    forced_pool = sorted(allowed, key=TRACKS.index) if allowed is not None else TRACKS
+    forced = draw(st.none() | st.frozensets(st.sampled_from(forced_pool))) if forced_pool else None
+    return ControlSpec(
+        genre=draw(st.none() | st.sampled_from(GENRES)),
+        bpm_level=draw(st.none() | st.integers(0, len(BPM_LABELS) - 1)),
+        sections=tuple(sections) if sections is not None else None,
+        chords=chords,
+        chord_schedule=schedule,
+        allowed_tracks=allowed,
+        forced_tracks=forced,
+        n_bars=n_bars,
+    )
+
+
+class FreshScores:
+    """A plug-in model that returns a fresh, writeable copy of another
+    model's scores at every call."""
+
+    def __init__(self, model) -> None:
+        self.model = model
+        self.context_limit = model.context_limit
+
+    def score(self, context):
+        return np.array(self.model.score(context))
+
+
+class OneBuffer:
+    """A plug-in model that writes every call's scores into one writeable
+    array and returns that same array."""
+
+    def __init__(self, model) -> None:
+        self.model = model
+        self.context_limit = model.context_limit
+        self.buffer = np.zeros(len(model.score(())))
+
+    def score(self, context):
+        self.buffer[:] = self.model.score(context)
+        return self.buffer

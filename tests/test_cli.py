@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -326,6 +329,42 @@ def test_usage_errors_exit_one(tmp_path):
     assert main(["nope"]) == 1
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        (["evaluate", "--generated", "."], {"jobs": "x"}),
+        (["train", "--corpus", "corpus.bin", "--out", "m.bin"], {"order": "five"}),
+        (["train", "--corpus", "corpus.bin", "--out", "m.bin"], {"discount": [0.5]}),
+        (["ingest", "song0.json", "--out", "c.bin"], {"jobs": None}),
+        (["generate", "--model", "model.bin", "--out-dir", "g"], {"seed": "x"}),
+        (["generate", "--model", "model.bin", "--out-dir", "g"], {"n_samples": "two"}),
+        (["generate", "--model", "model.bin", "--out-dir", "g"], {"max_tokens": 1e400}),
+        (["generate", "--model", "model.bin", "--out-dir", "g"], {"temperature": "hot"}),
+        (["generate", "--model", "model.bin", "--out-dir", "g"], {"top_k": "many"}),
+        (["generate", "--model", "model.bin", "--out-dir", "g"], {"top_k": 2.5}),
+        (["generate", "--model", "model.bin", "--out-dir", "g"], {"n_samples": True}),
+        (["generate", "--model", "model.bin", "--out-dir", "g"], {"top_p": {}}),
+    ],
+)
+def test_config_values_of_the_wrong_type_exit_one(trained, monkeypatch, capsys, command, config):
+    monkeypatch.chdir(trained)
+    (trained / "cfg.json").write_text(json.dumps(config))
+    assert main(["--config", "cfg.json", *command]) == 1
+    key = next(iter(config))
+    assert f"config '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--temperature", "0"], ["--top-k", "0"], ["--top-p", "1.5"]])
+def test_sampler_settings_out_of_range_exit_one(trained, capsys, flag):
+    rc = main([
+        "generate", "--model", str(trained / "model.bin"),
+        "--out-dir", str(trained / "g"), "--bars", "1", *flag,
+    ])
+    assert rc == 1
+    assert "sampler settings" in capsys.readouterr().err
+    assert not (trained / "g" / "manifest.json").exists()
+
+
 def test_control_error_exits_one(trained):
     rc = main([
         "generate", "--model", str(trained / "model.bin"),
@@ -385,3 +424,14 @@ def test_corrupt_manifest_exits_one(trained, tmp_path):
         "--out-dir", str(tmp_path / "out"),
     ])
     assert rc == 1
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is most of the start-up time, and only structure clustering needs it
+    import sympac
+
+    src = os.path.dirname(os.path.dirname(sympac.__file__))
+    probe = "import sys, sympac.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -39,7 +39,7 @@ from sympac.vocab import (
     position_id,
     track_id,
 )
-from synthcorpus import random_grid_song
+from synthcorpus import control_specs, random_grid_song
 
 RULES = build_rules()
 VOCAB = build_vocab()
@@ -349,43 +349,6 @@ def test_control_json_round_trip():
     )
     again = ControlSpec.from_json(spec.to_json())
     assert again == spec
-
-
-@st.composite
-def control_specs(draw):
-    sections = draw(st.none() | st.lists(st.sampled_from(SECTIONS), min_size=1, max_size=12))
-    if sections is not None:
-        n_bars = draw(st.sampled_from([None, len(sections)]))
-    else:
-        n_bars = draw(st.none() | st.integers(1, 12))
-    total = n_bars or (len(sections) if sections else 12)
-    chords = schedule = None
-    kind = draw(st.sampled_from(["none", "loop", "schedule"]))
-    if kind == "loop":
-        chords = tuple(draw(st.lists(st.sampled_from(CHORDS), min_size=1, max_size=6)))
-    elif kind == "schedule":
-        slots = draw(
-            st.dictionaries(
-                st.tuples(st.integers(0, total - 1), st.integers(0, 15)),
-                st.sampled_from(CHORDS),
-                min_size=1,
-                max_size=8,
-            )
-        )
-        schedule = tuple((bar, step, symbol) for (bar, step), symbol in slots.items())
-    allowed = draw(st.none() | st.frozensets(st.sampled_from(TRACKS)))
-    forced_pool = sorted(allowed, key=TRACKS.index) if allowed is not None else TRACKS
-    forced = draw(st.none() | st.frozensets(st.sampled_from(forced_pool))) if forced_pool else None
-    return ControlSpec(
-        genre=draw(st.none() | st.sampled_from(GENRES)),
-        bpm_level=draw(st.none() | st.integers(0, len(BPM_LABELS) - 1)),
-        sections=tuple(sections) if sections is not None else None,
-        chords=chords,
-        chord_schedule=schedule,
-        allowed_tracks=allowed,
-        forced_tracks=forced,
-        n_bars=n_bars,
-    )
 
 
 @given(control_specs())

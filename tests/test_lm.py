@@ -8,13 +8,14 @@ from sympac.errors import ModelFormatError, SympacError
 from sympac.lm import (
     NgramModel,
     UniformModel,
+    _logsumexp,
     load_model,
     perplexity,
     save_model,
     train_ngram,
 )
 from sympac.vocab import VOCAB_SIZE
-from synthcorpus import damaged
+from synthcorpus import FreshScores, OneBuffer, damaged
 
 
 def brute_force_probability(corpus, order, discount, context, token):
@@ -183,6 +184,44 @@ def test_perplexity_beats_uniform_on_training_data():
     corpus = [list(rng.integers(0, 20, size=40)) for _ in range(10)]
     model = train_ngram(corpus, order=4)
     assert perplexity(model, corpus) < perplexity(UniformModel(), corpus) == pytest.approx(VOCAB_SIZE)
+
+
+def reference_perplexity(model, corpus):
+    """The quadratic loop `perplexity` replaced: the whole prefix as the
+    context and a fresh log-normalizer at every position."""
+    total = 0.0
+    count = 0
+    for seq in corpus:
+        seq = list(seq)
+        for i, token in enumerate(seq):
+            scores = model.score(seq[:i])
+            logp = scores - _logsumexp(scores)
+            total += float(logp[token])
+            count += 1
+    return float(np.exp(-total / count))
+
+
+sequences = st.lists(st.lists(st.integers(0, 11), min_size=1, max_size=40), min_size=1, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    train=sequences,
+    held_out=sequences,
+    order=st.integers(1, 8),
+    discount=st.floats(0.05, 0.95),
+    kind=st.sampled_from(["ngram", "fresh", "one_buffer", "uniform"]),
+)
+def test_perplexity_is_bit_equal_to_the_full_prefix_loop(train, held_out, order, discount, kind):
+    model = train_ngram(train, order=order, discount=discount)
+    model = {
+        "ngram": model,
+        "fresh": FreshScores(model),
+        "one_buffer": OneBuffer(model),
+        "uniform": UniformModel(),
+    }[kind]
+    for corpus in (train, held_out):
+        assert perplexity(model, corpus) == reference_perplexity(model, corpus)
 
 
 def test_adding_pinned_sequence_raises_its_ngram_probabilities():

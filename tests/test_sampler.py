@@ -1,12 +1,27 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sympac import sampler
 from sympac.encoding import decode_sequence, encode_song, validate
-from sympac.fsm import ControlSpec, build_rules, parse_chords_arg, parse_structure_arg
+from sympac.errors import ConstraintConflictError
+from sympac.fsm import (
+    ControlSpec,
+    build_rules,
+    compile_control,
+    initial_state,
+    legal_ids,
+    parse_chords_arg,
+    parse_structure_arg,
+    update_state,
+)
 from sympac.lm import UniformModel, train_ngram
 from sympac.sampler import SamplerConfig, SampleResult, constrained_sample, renormalize
-from sympac.vocab import VOCAB_SIZE
-from synthcorpus import chord_corpus
+from sympac.vocab import BAR_ID, VOCAB_SIZE
+from synthcorpus import FreshScores, OneBuffer, chord_corpus, control_specs
 
 RULES = build_rules()
 
@@ -159,3 +174,116 @@ def test_sampler_respects_context_limit():
     result = constrained_sample(model, RULES, None, SamplerConfig(rng_seed=11))
     assert not result.truncated
     assert validate(result.tokens) == []
+
+
+def reference_sample(model, rules, control, config):
+    """`constrained_sample` without the step cache: every scored step
+    computes its distribution afresh."""
+    cc = compile_control(control)
+    state = initial_state(control)
+    rng = np.random.default_rng(config.rng_seed)
+    seq = [BAR_ID]
+    while not state.terminal:
+        if len(seq) >= config.max_tokens:
+            return SampleResult(seq, truncated=True)
+        ids = legal_ids(rules, state, cc)
+        if len(ids) == 1:
+            rng.random()
+            token = int(ids[0])
+        else:
+            weights = sampler._masked_weights(
+                model.score(seq), ids, config.temperature, config.top_k, config.top_p
+            )
+            cumulative = weights.cumsum()
+            r = rng.random() * cumulative[-1]
+            token = int(ids[cumulative.searchsorted(r, side="right")])
+        seq.append(token)
+        state = update_state(rules, state, token)
+    return SampleResult(seq, truncated=False)
+
+
+def outcome(sample, model, control, config):
+    try:
+        return sample(model, RULES, control, config)
+    except ConstraintConflictError as exc:
+        return str(exc)
+
+
+class NoWeakref:
+    """A plug-in model that cannot be weakly referenced, returning shared
+    read-only arrays."""
+
+    __slots__ = ("model", "context_limit")
+
+    def __init__(self, model):
+        self.model = model
+        self.context_limit = model.context_limit
+
+    def score(self, context):
+        return self.model.score(context)
+
+
+CORPUS = [encode_song(song) for song in chord_corpus(np.random.default_rng(0), 6)]
+# Shared by every example, so its cache is warm with earlier examples' steps.
+SHARED = train_ngram(CORPUS, order=5)
+MODELS = {
+    "shared": lambda: SHARED,
+    "uniform": UniformModel,
+    "fresh": lambda: FreshScores(SHARED),
+    "one_buffer": lambda: OneBuffer(SHARED),
+    "no_weakref": lambda: NoWeakref(SHARED),
+    "grown": lambda: train_ngram(CORPUS[:3], order=4),
+}
+sampler_settings = st.fixed_dictionaries(
+    {},
+    optional={
+        "temperature": st.sampled_from([0.5, 1.0, 1.7]),
+        "top_k": st.sampled_from([1, 2, 8, 40]),
+        "top_p": st.sampled_from([0.3, 0.8, 1.0]),
+    },
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    control=control_specs(),
+    kind=st.sampled_from(sorted(MODELS)),
+    first=sampler_settings,
+    then=sampler_settings,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_cache_keeps_every_stream(control, kind, first, then, seed):
+    model = MODELS[kind]()
+    # warm the model under other settings and another seed first
+    outcome(constrained_sample, model, control, SamplerConfig(rng_seed=seed ^ 1, max_tokens=800, **first))
+    if kind == "grown":
+        # new counts replace every score array the warm-up cached
+        model.add_sequence(CORPUS[3])
+    config = SamplerConfig(rng_seed=seed, max_tokens=800, **then)
+    assert outcome(constrained_sample, model, control, config) == outcome(
+        reference_sample, model, control, config
+    )
+
+
+def test_step_cache_lives_as_long_as_the_model():
+    model = train_ngram(CORPUS, order=3)
+    control = ControlSpec(chords=("C", "G"), n_bars=2)
+    constrained_sample(model, RULES, control, SamplerConfig(rng_seed=5))
+    (steps,) = sampler._STEP_CACHE[model].values()
+    scores = weakref.ref(next(iter(steps.values()))[0])
+    model_ref = weakref.ref(model)
+    del steps
+    gc.collect()
+    held = len(sampler._STEP_CACHE)
+    del model
+    gc.collect()
+    assert model_ref() is None
+    assert len(sampler._STEP_CACHE) == held - 1
+    assert scores() is None
+
+
+def test_uniform_scores_are_read_only():
+    scores = UniformModel().score(())
+    assert not scores.flags.writeable
+    with pytest.raises(ValueError):
+        scores[0] = 1.0
