@@ -66,9 +66,8 @@ def beat_chords(song: GridSong) -> list[str]:
     return out
 
 
-def _chord_transitions(song: GridSong) -> Iterator[tuple[str, str]]:
-    stream = beat_chords(song)
-    return ((a, b) for a, b in zip(stream, stream[1:]) if a != b)
+def _chord_transitions(chords: list[str]) -> Iterator[tuple[str, str]]:
+    return ((a, b) for a, b in zip(chords, chords[1:]) if a != b)
 
 
 def _section_bigrams(song: GridSong) -> Iterator[tuple[str, str]]:
@@ -119,7 +118,9 @@ class _Metric(NamedTuple):
     cls: str  # the report class whose mean the metric joins
     name: str
     display: str
-    values: Callable[[GridSong], Iterable]  # the values one song contributes
+    # The values one song contributes, from the song itself or, for the
+    # Chord class, from the song's beat_chords.
+    values: Callable[[GridSong], Iterable] | Callable[[list[str]], Iterable]
 
 
 def _track_metrics(track: str) -> list[_Metric]:
@@ -151,10 +152,11 @@ def _track_metrics(track: str) -> list[_Metric]:
 
 
 # The metric list, in report order: each metric's class, name, display
-# name, and the values one song contributes to its distribution.
+# name, and the values one song (or its beat chords) contributes to its
+# distribution.
 _METRICS: tuple[_Metric, ...] = (
-    _Metric("Chord", "chord_label", "Chord Label", beat_chords),
-    _Metric("Chord", "chord_root", "Chord Root", lambda song: map(chord_root, beat_chords(song))),
+    _Metric("Chord", "chord_label", "Chord Label", lambda chords: chords),
+    _Metric("Chord", "chord_root", "Chord Root", lambda chords: map(chord_root, chords)),
     _Metric("Chord", "chord_transition", "Chord Transition", _chord_transitions),
     _Metric(
         "Structure", "section_label", "Section Label", lambda song: (b.section for b in song.bars)
@@ -208,8 +210,17 @@ def extract_metric(corpus: list[GridSong], metric_name: str) -> MetricDistributi
     metric = _BY_NAME.get(metric_name)
     if metric is None:
         raise ValueError(f"unknown metric {metric_name!r}")
-    values = (value for song in corpus for value in metric.values(song))
-    return MetricDistribution.from_values(metric_name, values)
+    chords = [beat_chords(song) for song in corpus] if metric.cls == "Chord" else []
+    return _distribution(metric, corpus, chords)
+
+
+def _distribution(
+    metric: _Metric, corpus: list[GridSong], chords: list[list[str]]
+) -> MetricDistribution:
+    """``metric`` over a corpus whose songs' beat chords are ``chords``."""
+    inputs = chords if metric.cls == "Chord" else corpus
+    values = (value for item in inputs for value in metric.values(item))
+    return MetricDistribution.from_values(metric.name, values)
 
 
 def kld(
@@ -282,15 +293,17 @@ def class_report(
     """
     if not gen or not ref:
         raise ValueError("both corpora must be non-empty")
+    gen_chords = [beat_chords(song) for song in gen]
+    ref_chords = [beat_chords(song) for song in ref]
     per_metric: dict[str, float | None] = {}
-    for name in ALL_METRICS:
+    for metric in _METRICS:
         try:
-            p = extract_metric(gen, name)
-            q = extract_metric(ref, name)
+            p = _distribution(metric, gen, gen_chords)
+            q = _distribution(metric, ref, ref_chords)
         except ValueError:
-            per_metric[name] = None
+            per_metric[metric.name] = None
             continue
-        per_metric[name] = kld(p, q, epsilon)
+        per_metric[metric.name] = kld(p, q, epsilon)
     class_means: dict[str, float | None] = {}
     for cls, names in METRIC_CLASSES.items():
         values = [per_metric[n] for n in names if per_metric[n] is not None]

@@ -28,10 +28,13 @@ from .lm import NextTokenModel
 from .vocab import BAR_ID, VOCAB_SIZE
 
 
-# model -> {(temperature, top_k, top_p): {(id(scores), id(ids)): (scores,
-# ids, cumulative weights, legal ids)}}, the last two as Python lists.
-# Each entry holds both arrays, so the ids in its key stay taken while it
-# lives.
+# model -> {(temperature, top_k, top_p): {(id(scores), id(ids)): (weak
+# reference to scores, ids, cumulative weights, legal ids)}}, the last two
+# as Python lists.  An entry holds its id array, and the weak reference
+# removes the entry when the score array is freed (before its memory can
+# be reused), so neither id in a live key can name another array.  A model
+# that drops its score arrays, as `NgramModel.add_sequence` does, drops
+# their entries with them.
 _STEP_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -126,9 +129,9 @@ def constrained_sample(
 
     The cumulative probabilities of a step are a pure function of the
     score array, the legal-id array and the settings.  When the model
-    returns a read-only score array, they are kept for as long as the
-    model lives and reused whenever both arrays recur, so a hit draws
-    from the very floats a miss would compute.
+    returns a read-only score array, they are kept for as long as both
+    the model and that array live, and reused whenever both arrays
+    recur, so a hit draws from the very floats a miss would compute.
     """
     config = config or SamplerConfig()
     settings = (config.temperature, config.top_k, config.top_p)
@@ -155,7 +158,8 @@ def constrained_sample(
                 weights = _masked_weights(scores, ids, *settings)
                 entry = (scores, ids, weights.cumsum().tolist(), ids.tolist())
                 if not scores.flags.writeable:
-                    cache[key] = entry
+                    ref = weakref.ref(scores, lambda _, key=key: cache.pop(key, None))
+                    cache[key] = (ref, *entry[1:])
             _, _, cumulative, tokens = entry
             token = tokens[bisect_right(cumulative, rng.random() * cumulative[-1])]
         seq.append(token)

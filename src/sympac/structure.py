@@ -167,6 +167,55 @@ def segment_signatures(
     return np.asarray(signatures)
 
 
+def _average_linkage_clusters(points: np.ndarray, threshold: float) -> list[int]:
+    """Flat clusters of the rows of ``points``: average-linkage (UPGMA)
+    agglomeration over Euclidean distances, joining every merge made at
+    a height of at most ``threshold``.  Returns one cluster id per row.
+
+    Ties make the merge order matter, so it is fixed: a nearest-neighbour
+    chain starts at the lowest active cluster, a tie goes to the chain's
+    previous element and then to the lowest index, and a merged pair
+    lives on at the higher index.  Each distance sums its squared
+    differences in index order.  These are the rules of the reference
+    implementation the tests compare labels with, ties included.
+    """
+    n = len(points)
+    dist = [[0.0] * n for _ in range(n)]
+    for i in range(n - 1):
+        diff = points[i + 1 :] - points[i]
+        row = np.sqrt(np.cumsum(diff * diff, axis=1)[:, -1]).tolist()
+        for j, d in enumerate(row, i + 1):
+            dist[i][j] = dist[j][i] = d
+    size = [1] * n  # 0 once a cluster has merged into another
+    labels = list(range(n))
+    chain: list[int] = []
+    for _ in range(n - 1):
+        if not chain:
+            chain.append(next(i for i in range(n) if size[i]))
+        while True:
+            x = chain[-1]
+            row = dist[x]
+            prev = chain[-2] if len(chain) > 1 else None
+            y, height = prev, (math.inf if prev is None else row[prev])
+            for i in range(n):
+                if size[i] and i != x and row[i] < height:
+                    y, height = i, row[i]
+            if y == prev:
+                break
+            chain.append(y)
+        del chain[-2:]
+        x, y = min(x, y), max(x, y)
+        nx, ny = size[x], size[y]
+        size[x], size[y] = 0, nx + ny
+        for i in range(n):
+            if size[i] and i != y:
+                dist[i][y] = dist[y][i] = (nx * dist[i][x] + ny * dist[i][y]) / (nx + ny)
+        if height <= threshold:
+            joined, kept = labels[x], labels[y]
+            labels = [kept if label == joined else label for label in labels]
+    return labels
+
+
 def label_segments_2dfmc(
     features: np.ndarray,
     boundaries: list[int],
@@ -180,13 +229,8 @@ def label_segments_2dfmc(
         raise ValueError("need at least one segment")
     if n_segments == 1:
         return ["0"]
-    # imported here: scipy is most of `import sympac.cli`, and most
-    # commands never cluster
-    from scipy.cluster.hierarchy import fcluster, linkage
-
     signatures = segment_signatures(features, boundaries, resample_beats)
-    tree = linkage(signatures, method="average", metric="euclidean")
-    raw = fcluster(tree, t=cluster_threshold, criterion="distance")
+    raw = _average_linkage_clusters(signatures, cluster_threshold)
     remap: dict[int, str] = {}
     labels = []
     for cluster in raw:

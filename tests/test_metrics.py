@@ -178,6 +178,22 @@ def test_class_report_identity_is_zero():
         assert value == 0.0 or (value is None and cls == "Guitar Note")
 
 
+def test_class_report_takes_each_songs_beat_chords_once(monkeypatch):
+    from sympac import metrics
+
+    calls = []
+
+    def counted(song):
+        calls.append(song)
+        return beat_chords(song)
+
+    monkeypatch.setattr(metrics, "beat_chords", counted)
+    rng = np.random.default_rng(109)
+    gen, ref = chord_corpus(rng, 3), chord_corpus(rng, 5)
+    class_report(gen, ref)
+    assert sorted(map(id, calls)) == sorted(map(id, gen + ref))
+
+
 def test_class_report_renders():
     rng = np.random.default_rng(103)
     gen = chord_corpus(rng, 6)

@@ -270,7 +270,8 @@ def test_step_cache_lives_as_long_as_the_model():
     control = ControlSpec(chords=("C", "G"), n_bars=2)
     constrained_sample(model, RULES, control, SamplerConfig(rng_seed=5))
     (steps,) = sampler._STEP_CACHE[model].values()
-    scores = weakref.ref(next(iter(steps.values()))[0])
+    scores = next(iter(steps.values()))[0]  # a weak reference to the score array
+    assert scores() is not None
     model_ref = weakref.ref(model)
     del steps
     gc.collect()
@@ -280,6 +281,24 @@ def test_step_cache_lives_as_long_as_the_model():
     assert model_ref() is None
     assert len(sampler._STEP_CACHE) == held - 1
     assert scores() is None
+
+
+def test_step_cache_drops_what_add_sequence_replaces():
+    # Rounds of songs, each followed by one add_sequence: the cache must
+    # not keep distributions of score arrays the model has dropped.
+    songs = [encode_song(song) for song in chord_corpus(np.random.default_rng(0), 25)]
+    model = train_ngram(songs[:20], order=5)
+    control = ControlSpec(
+        chords=parse_chords_arg("F,C,G,A:min"),
+        sections=parse_structure_arg("verse*4,chorus*4"),
+        genre="Pop",
+    )
+    for round_ in range(5):
+        for seed in range(10):
+            constrained_sample(model, RULES, control, SamplerConfig(rng_seed=10 * round_ + seed))
+        assert any(sampler._STEP_CACHE[model].values())
+        model.add_sequence(songs[20 + round_])
+        assert not any(sampler._STEP_CACHE[model].values())
 
 
 def test_uniform_scores_are_read_only():

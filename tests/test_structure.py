@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from sympac.ingest import GridBar, GridNote, GridSong
 from sympac.structure import (
     FRAME_SECONDS,
     StructureEstimate,
+    _average_linkage_clusters,
     _f_measure,
     _frame_labels,
     beat_sync_features,
@@ -330,3 +335,68 @@ def test_contingency_scores_match_frame_references(pair):
     est, ref = pair
     assert pairwise_f(est, ref) == reference_pairwise_f(est, ref)
     assert abs(entropy_scores_f(est, ref) - reference_entropy_scores_f(est, ref)) <= 1e-12
+
+
+def first_appearance(labels):
+    """Labels renamed 0, 1, ... in order of first appearance."""
+    names = {}
+    return [names.setdefault(label, len(names)) for label in labels]
+
+
+@st.composite
+def linkage_cases(draw):
+    """(points, threshold) for the three shapes segment signatures take:
+    distinct float rows, repeated rows (repeated sections), and integer
+    rows whose tied distances and merge heights the threshold may hit
+    exactly."""
+    n = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(["float", "repeated", "integer"]))
+    if kind == "integer":
+        dim = draw(st.integers(1, 2))
+        cell = st.integers(0, 3).map(float)
+        points = np.array(draw(st.lists(st.lists(cell, min_size=dim, max_size=dim),
+                                        min_size=n, max_size=n)))
+        threshold = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5, math.sqrt(2), math.sqrt(5)]))
+        return points, threshold
+    dim = draw(st.integers(1, 40))
+    cell = st.floats(0.0, 1.0)
+    rows = n if kind == "float" else draw(st.integers(1, 4))
+    base = np.array(draw(st.lists(st.lists(cell, min_size=dim, max_size=dim),
+                                  min_size=rows, max_size=rows)))
+    if kind == "repeated":
+        base = base[draw(st.lists(st.integers(0, rows - 1), min_size=n, max_size=n))]
+    return base, draw(st.floats(0.0, 2.0))
+
+
+def test_average_linkage_matches_scipy():
+    hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+
+    @settings(max_examples=300, deadline=None)
+    @given(linkage_cases())
+    def check(case):
+        points, threshold = case
+        with warnings.catch_warnings():  # a square symmetric input looks like distances
+            warnings.simplefilter("ignore", hierarchy.ClusterWarning)
+            tree = hierarchy.linkage(points, method="average", metric="euclidean")
+        expected = hierarchy.fcluster(tree, t=threshold, criterion="distance")
+        got = _average_linkage_clusters(points, threshold)
+        assert first_appearance(got) == first_appearance(expected)
+
+    check()
+
+
+def test_estimate_structure_runs_without_scipy():
+    import sympac
+
+    src = os.path.dirname(os.path.dirname(sympac.__file__))
+    tests = os.path.dirname(__file__)
+    probe = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from synthcorpus import aab_song\n"
+        "from sympac.structure import estimate_structure\n"
+        "print(estimate_structure(aab_song(section_bars=8)).labels)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, tests])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "('0', '1')"
