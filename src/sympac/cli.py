@@ -112,23 +112,46 @@ def _whole(value) -> int:
     return int(value)
 
 
+def _exact(kind: type):
+    """A converter that passes a ``kind`` value through and rejects any other."""
+
+    def convert(value):
+        if not isinstance(value, kind):
+            raise TypeError(value)
+        return value
+
+    return convert
+
+
+# Sampler settings and their converters, for config values and manifests alike.
+_SAMPLER_SETTINGS = {
+    "temperature": float,
+    "top_k": lambda value: None if value is None else _whole(value),
+    "top_p": lambda value: None if value is None else float(value),
+    "max_tokens": _whole,
+}
+
+
+def _field(source: str, record: dict, key: str, convert):
+    """``convert(record[key])``; a value it cannot convert is a usage error."""
+    value = record[key]
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise _Usage(f"{source} {key!r} has a value of the wrong type: {value!r}") from None
+
+
 def _cfg(args, config: dict, key: str, default, convert=None):
     """Explicit flag wins, then config file, then the built-in default.
 
-    A config value goes through ``convert`` (``null`` stays ``None`` where
-    the default is ``None``); one it cannot convert is a usage error."""
+    A config value goes through ``convert``; one it cannot convert is a
+    usage error."""
     value = getattr(args, key.replace("-", "_"), None)
     if value is not None:
         return value
     if key not in config:
         return default
-    value = config[key]
-    if convert is None or (value is None and default is None):
-        return value
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise _Usage(f"config {key!r} has a value of the wrong type: {value!r}") from None
+    return config[key] if convert is None else _field("config", config, key, convert)
 
 
 def _gather_inputs(paths: list[str]) -> list[Path]:
@@ -317,13 +340,19 @@ def _cmd_generate(args, config: dict) -> int:
             control = (
                 ControlSpec.from_json(run["control"]) if run["control"] is not None else None
             )
-            sampler_kwargs = run["sampler"]
-            n_samples = run["n_samples"]
-            seed = run["seed"]
-            model_path = run["model"]
-            recorded_sha256 = run["model_sha256"]
-            write_midi = run["midi"]
-            write_text = run["text"]
+            sampler = _field("manifest field", run, "sampler", _exact(dict))
+            if sampler.keys() != _SAMPLER_SETTINGS.keys():
+                raise KeyError(f"sampler keys {sorted(sampler)} are not {list(_SAMPLER_SETTINGS)}")
+            sampler_kwargs = {
+                key: _field("manifest sampler", sampler, key, convert)
+                for key, convert in _SAMPLER_SETTINGS.items()
+            }
+            n_samples = _field("manifest field", run, "n_samples", _whole)
+            seed = _field("manifest field", run, "seed", _whole)
+            model_path = _field("manifest field", run, "model", _exact(str))
+            recorded_sha256 = _field("manifest field", run, "model_sha256", _exact(str))
+            write_midi = _field("manifest field", run, "midi", _exact(bool))
+            write_text = _field("manifest field", run, "text", _exact(bool))
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise _Usage(f"manifest {args.from_manifest}: {exc!r}") from None
         model_sha256 = _sha256(Path(model_path))
@@ -343,10 +372,8 @@ def _cmd_generate(args, config: dict) -> int:
         seed = _cfg(args, config, "seed", _env_seed(), _whole)
         n_samples = _cfg(args, config, "n_samples", 1, _whole)
         sampler_kwargs = {
-            "temperature": _cfg(args, config, "temperature", 1.0, float),
-            "top_k": _cfg(args, config, "top_k", None, _whole),
-            "top_p": _cfg(args, config, "top_p", None, float),
-            "max_tokens": _cfg(args, config, "max_tokens", SamplerConfig.max_tokens, _whole),
+            key: _cfg(args, config, key, getattr(SamplerConfig, key), convert)
+            for key, convert in _SAMPLER_SETTINGS.items()
         }
         write_midi = bool(args.midi)
         write_text = bool(args.text)

@@ -419,7 +419,6 @@ class FsmState:
         "bar_index",
         "step",
         "last_position",
-        "current_track",
         "tracks_emitted",
         "group_count",
         "last_pitch",
@@ -429,7 +428,6 @@ class FsmState:
         "cur_bpm",
         "cur_chords",
         "prompt_bars",
-        "bars_total",
     )
 
     def __init__(self):
@@ -438,7 +436,6 @@ class FsmState:
         self.bar_index = 0
         self.step = 1  # tokens consumed so far; the start token is bar
         self.last_position = -1
-        self.current_track = -1
         self.tracks_emitted = 0
         self.group_count = 0
         self.last_pitch = -1
@@ -448,7 +445,6 @@ class FsmState:
         self.cur_bpm = -1
         self.cur_chords: tuple[tuple[int, int], ...] = ()
         self.prompt_bars: tuple[_PromptBar, ...] = ()
-        self.bars_total = -1
 
     @property
     def phase_name(self) -> str:
@@ -527,7 +523,7 @@ def _bar_end_bits(state: FsmState, cc: _CompiledControl) -> int:
         if cc.n_bars >= 0:
             return _BAR_BIT if state.bar_index < cc.n_bars - 1 else _EOP_BIT
         return _BAR_BIT | _EOP_BIT
-    return _BAR_BIT if state.bar_index < state.bars_total - 1 else _EOS_BIT
+    return _BAR_BIT if state.bar_index < len(state.prompt_bars) - 1 else _EOS_BIT
 
 
 def _exits(state: FsmState, cc: _CompiledControl) -> int:
@@ -639,7 +635,6 @@ def _close_bar(state: FsmState) -> None:
     state.cur_bpm = -1
     state.cur_chords = ()
     state.tracks_emitted = 0
-    state.current_track = -1
     state.group_count = 0
     state.last_position = -1
     state.last_pitch = -1
@@ -679,7 +674,6 @@ def update_state(rules: RuleSet, state: FsmState, token: Token | int) -> FsmStat
         state.phase = PH_GENRE
     elif token_id == EOP_ID:
         _close_bar(state)
-        state.bars_total = len(state.prompt_bars)
         state.in_prompt = False
         state.bar_index = -1
         state.phase = PH_BAR
@@ -727,7 +721,6 @@ def update_state(rules: RuleSet, state: FsmState, token: Token | int) -> FsmStat
 
 def _enter_track(state: FsmState, track: int) -> None:
     state.tracks_emitted |= 1 << track
-    state.current_track = track
     state.group_count = 0
     state.last_position = -1
     state.last_pitch = -1

@@ -26,16 +26,14 @@ from .vocab import (
     MELODIC_TRACKS,
     N_STEPS,
     NO_CHORD,
+    ROOTS,
     SECTIONS,
 )
 
 # Annotation sources may spell this section label out in full.
 _SECTION_ALIASES = {"instrumental": "inst"}
 
-INGEST_CHORDS = tuple(
-    f"{r}:{q}" for q in ("maj", "min")
-    for r in ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
-) + (NO_CHORD,)
+INGEST_CHORDS = tuple(f"{r}:{q}" for q in ("maj", "min") for r in ROOTS) + (NO_CHORD,)
 
 
 @dataclass(frozen=True, slots=True)

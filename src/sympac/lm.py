@@ -50,8 +50,6 @@ class UniformModel:
 class NgramModel:
     """Interpolated absolute-discount n-gram model over the 336-token vocabulary."""
 
-    vocab_size = VOCAB_SIZE
-
     def __init__(self, order: int, discount: float = DEFAULT_DISCOUNT):
         if not 1 <= order <= MAX_ORDER:
             raise ValueError(f"order must be 1..{MAX_ORDER}, got {order}")
@@ -64,12 +62,10 @@ class NgramModel:
         self._counts: list[dict[tuple[int, ...], dict[int, int]]] = [
             {} for _ in range(order)
         ]
-        self._tables: list[dict[tuple[int, ...], tuple]] | None = None
         # longest seen context suffix -> read-only log-probabilities
         self._scores: dict[tuple[int, ...], np.ndarray] = {}
 
     def add_sequence(self, seq: Sequence[int]) -> None:
-        self._tables = None
         self._scores.clear()
         seq = list(seq)
         for k in range(self.order):
@@ -80,42 +76,28 @@ class NgramModel:
                 slot = level.setdefault(ctx, {})
                 slot[nxt] = slot.get(nxt, 0) + 1
 
-    def _freeze(self) -> list[dict[tuple[int, ...], tuple]]:
-        if self._tables is None:
-            tables = []
-            for level in self._counts:
-                frozen = {}
-                for ctx, slot in level.items():
-                    ids = np.fromiter(slot.keys(), dtype=np.int64, count=len(slot))
-                    cnts = np.fromiter(slot.values(), dtype=np.float64, count=len(slot))
-                    frozen[ctx] = (ids, cnts, float(cnts.sum()), len(slot))
-                tables.append(frozen)
-            self._tables = tables
-        return self._tables
-
     def _longest_seen(self, context: Sequence[int]) -> tuple[int, ...]:
-        """The longest suffix of the usable context that the tables hold.
+        """The longest suffix of the usable context that the counts hold.
 
         Every suffix of a seen context is seen too, so this suffix alone
         fixes the interpolated distribution.  An empty model gives ()."""
-        tables = self._freeze()
         ctx = tuple(context[-self.context_limit :]) if self.context_limit else ()
         for start in range(len(ctx)):
             key = ctx[start:]
-            if key in tables[len(key)]:
+            if key in self._counts[len(key)]:
                 return key
         return ()
 
     def _interpolate(self, key: tuple[int, ...]) -> np.ndarray:
-        tables = self._freeze()
         p = np.full(VOCAB_SIZE, 1.0 / VOCAB_SIZE)
         for k in range(len(key) + 1):
-            entry = tables[k].get(key[len(key) - k :])
-            if entry is None:
+            slot = self._counts[k].get(key[len(key) - k :])
+            if slot is None:
                 break
-            ids, cnts, total, ntypes = entry
-            p *= self.discount * ntypes / total
-            p[ids] += (cnts - self.discount) / total
+            total = sum(slot.values())
+            p *= self.discount * len(slot) / total
+            for nxt, count in slot.items():
+                p[nxt] += (count - self.discount) / total
         return p
 
     def probabilities(self, context: Sequence[int]) -> np.ndarray:
@@ -155,7 +137,6 @@ def train_ngram(
         n += 1
     if n == 0:
         raise ValueError("training corpus is empty")
-    model._freeze()
     return model
 
 
@@ -201,7 +182,6 @@ def load_model(data: bytes) -> NgramModel:
         raise ModelFormatError(str(exc)) from None
     if offset != len(data):
         raise ModelFormatError(f"trailing bytes after model data (byte {offset})")
-    model._freeze()
     return model
 
 

@@ -20,6 +20,7 @@ from collections import deque
 
 from .errors import EmptySongError, ParseError, UnsupportedFormatError, ValidationError
 from .ingest import AnnotatedSong, BeatEvent, DrumHit, GridSong, NoteEvent
+from .vocab import DRUM_KEY_MAX, DRUM_KEY_MIN
 
 _DEFAULT_TEMPO = 500000  # microseconds per quarter note
 _TPQ = 480
@@ -273,7 +274,7 @@ def import_smf(data: bytes, source_id: str = "", genre: str = "Pop") -> Annotate
     drum_hits = [
         DrumHit(tempo_map.seconds(tick), key)
         for tick, key in drum_ons
-        if 35 <= key <= 81
+        if DRUM_KEY_MIN <= key <= DRUM_KEY_MAX
     ]
 
     return AnnotatedSong(

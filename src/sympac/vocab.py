@@ -80,22 +80,6 @@ DUR_BASE = PITCH_BASE + N_PITCHES              # 257
 DRUM_BASE = DUR_BASE + MAX_DURATION            # 289
 VOCAB_SIZE = DRUM_BASE + N_DRUM_KEYS           # 336
 
-KINDS = (
-    "bar",
-    "end_of_prompt",
-    "end_of_song",
-    "sec",
-    "bpm_level",
-    "genre",
-    "position",
-    "chord",
-    "track",
-    "pitch",
-    "duration",
-    "drum",
-)
-
-
 @dataclass(frozen=True, slots=True)
 class Token:
     """One token value: a kind plus its option, if the kind has options."""
@@ -224,32 +208,8 @@ def build_vocab() -> Vocab:
 
 
 def kind_of_id(token_id: int) -> str:
-    """Token kind for an id, without constructing the Token."""
-    if token_id == BAR_ID:
-        return "bar"
-    if token_id == EOP_ID:
-        return "end_of_prompt"
-    if token_id == EOS_ID:
-        return "end_of_song"
-    if token_id < BPM_BASE:
-        return "sec"
-    if token_id < GENRE_BASE:
-        return "bpm_level"
-    if token_id < POS_BASE:
-        return "genre"
-    if token_id < CHORD_BASE:
-        return "position"
-    if token_id < TRACK_BASE:
-        return "chord"
-    if token_id < PITCH_BASE:
-        return "track"
-    if token_id < DUR_BASE:
-        return "pitch"
-    if token_id < DRUM_BASE:
-        return "duration"
-    if token_id < VOCAB_SIZE:
-        return "drum"
-    raise ValueError(f"token id out of range: {token_id}")
+    """Token kind for an id; ValueError outside 0..335."""
+    return build_vocab().token_of(token_id).kind
 
 
 def chord_root(symbol: str) -> str:

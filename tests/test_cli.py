@@ -417,17 +417,66 @@ def test_bad_control_file_types_exit_one(trained, tmp_path):
     assert rc == 1
 
 
-def test_corrupt_manifest_exits_one(trained, tmp_path):
-    (tmp_path / "manifest.json").write_text("{\"run\": {}}")
+def _recorded_manifest(trained) -> dict:
+    assert main([
+        "generate", "--model", str(trained / "model.bin"),
+        "--out-dir", str(trained / "rec"), "-n", "1", "--seed", "2", "--bars", "2",
+    ]) == 0
+    return json.loads((trained / "rec" / "manifest.json").read_text())
+
+
+# (field of the run record, value written there, text the error must hold)
+_CORRUPT_RUNS = [
+    ("run", {}, "'control'"),
+    ("seed", 3.5, "'seed'"),
+    ("n_samples", True, "'n_samples'"),
+    ("model", 5, "'model'"),
+    ("model_sha256", None, "'model_sha256'"),
+    ("midi", "yes", "'midi'"),
+    ("text", 1, "'text'"),
+    ("sampler", [], "'sampler'"),
+    ("sampler.top_k", 2.5, "'top_k'"),
+    ("sampler.temperature", "hot", "'temperature'"),
+    ("sampler.max_tokens", None, "'max_tokens'"),
+    ("sampler.rng_seed", 4, "'rng_seed'"),
+]
+
+
+@pytest.mark.parametrize("field,value,named", _CORRUPT_RUNS, ids=[c[0] for c in _CORRUPT_RUNS])
+def test_corrupt_manifest_exits_one(trained, capsys, field, value, named):
+    manifest = _recorded_manifest(trained)
+    *parents, key = field.split(".")
+    record = manifest["run"] if field != "run" else manifest
+    for name in parents:
+        record = record[name]
+    record[key] = value
+    (trained / "bad.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
     rc = main([
-        "generate", "--from-manifest", str(tmp_path / "manifest.json"),
-        "--out-dir", str(tmp_path / "out"),
+        "generate", "--from-manifest", str(trained / "bad.json"),
+        "--out-dir", str(trained / "out"),
     ])
     assert rc == 1
+    assert named in capsys.readouterr().err
+    assert not (trained / "out").exists()
+
+
+def test_manifest_values_convert_like_config_values(trained):
+    manifest = _recorded_manifest(trained)
+    manifest["run"].update(seed="2", n_samples=1.0)
+    manifest["run"]["sampler"]["max_tokens"] = str(manifest["run"]["sampler"]["max_tokens"])
+    (trained / "strings.json").write_text(json.dumps(manifest))
+    assert main([
+        "generate", "--from-manifest", str(trained / "strings.json"),
+        "--out-dir", str(trained / "again"),
+    ]) == 0
+    again = json.loads((trained / "again" / "manifest.json").read_text())
+    assert again == json.loads((trained / "rec" / "manifest.json").read_text())
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is most of the start-up time, and only structure clustering needs it
+    # scipy once took most of the start-up time; this catches an import of it
+    # creeping back into `sympac.cli` or any module it loads
     import sympac
 
     src = os.path.dirname(os.path.dirname(sympac.__file__))

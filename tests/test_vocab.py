@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from sympac import vocab as v
 from sympac.vocab import (
     BAR_ID,
     CHORDS,
@@ -42,6 +43,34 @@ def test_bijection(token_id):
     assert vocab.id_of(token) == token_id
     assert vocab.id_of_name(vocab.render(token_id)) == token_id
     assert kind_of_id(token_id) == token.kind
+
+
+def test_id_layout_matches_the_token_table():
+    first: dict[str, int] = {}
+    for token_id, token in enumerate(build_vocab()):
+        first.setdefault(token.kind, token_id)
+    assert first == {
+        "bar": v.BAR_ID,
+        "end_of_prompt": v.EOP_ID,
+        "end_of_song": v.EOS_ID,
+        "sec": v.SEC_BASE,
+        "bpm_level": v.BPM_BASE,
+        "genre": v.GENRE_BASE,
+        "position": v.POS_BASE,
+        "chord": v.CHORD_BASE,
+        "track": v.TRACK_BASE,
+        "pitch": v.PITCH_BASE,
+        "duration": v.DUR_BASE,
+        "drum": v.DRUM_BASE,
+    }
+    last_drum = max(i for i, token in enumerate(build_vocab()) if token.kind == "drum")
+    assert VOCAB_SIZE == last_drum + 1 == len(list(build_vocab()))
+
+
+@pytest.mark.parametrize("token_id", [-1, VOCAB_SIZE])
+def test_kind_of_id_rejects_ids_outside_the_vocabulary(token_id):
+    with pytest.raises(ValueError):
+        kind_of_id(token_id)
 
 
 def test_chord_token_round_trip():
