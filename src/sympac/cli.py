@@ -381,7 +381,7 @@ def _cmd_generate(args, config: dict) -> int:
     if n_samples < 1:
         raise _Usage(f"the sample count must be at least 1, got {n_samples}")
     try:
-        SamplerConfig(**sampler_kwargs)
+        SamplerConfig(rng_seed=seed, **sampler_kwargs)
     except (TypeError, ValueError) as exc:
         raise _Usage(f"sampler settings: {exc}") from None
 

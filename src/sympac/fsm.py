@@ -496,7 +496,7 @@ def build_rules() -> RuleSet:
     return RuleSet()
 
 
-def initial_state(control: ControlSpec | None = None) -> FsmState:
+def initial_state(control: ControlSpec | _CompiledControl | None = None) -> FsmState:
     """State after the start token ``bar``; the next token is bar 0's genre."""
     compile_control(control)  # raises ControlError when inconsistent
     return FsmState()
@@ -534,6 +534,26 @@ def _exits(state: FsmState, cc: _CompiledControl) -> int:
 def _legal_bits(rules: RuleSet, state: FsmState, cc: _CompiledControl) -> int:
     """Bitmask of the tokens legal in ``state``; 0 when the controls leave none."""
     ph = state.phase
+    # Songs spend most steps in the note and drum phases, so they come first.
+    if ph == PH_NOTE_DUR:
+        return rules.durations
+    if ph == PH_NOTE_PITCH:
+        first = state.last_pitch + 1
+        return _block(PITCH_BASE + first, N_PITCHES - first)
+    if ph == PH_DRUM_KEY:
+        first = state.last_drum + 1
+        return _block(DRUM_BASE + first, _N_DRUMS - first)
+    if ph == PH_NOTE_POS or ph == PH_DRUM_POS:
+        bits = 0
+        if state.group_count < MAX_NOTES_PER_PART:
+            first = max(state.last_position, 0)
+            bits = _block(POS_BASE + first, N_STEPS - first)
+            last = state.last_pitch if ph == PH_NOTE_POS else state.last_drum
+            if last >= (N_PITCHES if ph == PH_NOTE_POS else _N_DRUMS) - 1:
+                bits &= ~(1 << (POS_BASE + state.last_position))
+        if state.group_count >= 1:
+            bits |= _exits(state, cc)
+        return bits
     if ph == PH_BAR:
         return 1 << BAR_ID
     if ph == PH_GENRE:
@@ -570,25 +590,6 @@ def _legal_bits(rules: RuleSet, state: FsmState, cc: _CompiledControl) -> int:
         return _exits(state, cc)
     if ph == PH_TRACK_START:
         return _exits(state, cc)
-    if ph == PH_NOTE_POS or ph == PH_DRUM_POS:
-        bits = 0
-        if state.group_count < MAX_NOTES_PER_PART:
-            first = max(state.last_position, 0)
-            bits = _block(POS_BASE + first, N_STEPS - first)
-            last = state.last_pitch if ph == PH_NOTE_POS else state.last_drum
-            if last >= (N_PITCHES if ph == PH_NOTE_POS else _N_DRUMS) - 1:
-                bits &= ~(1 << (POS_BASE + state.last_position))
-        if state.group_count >= 1:
-            bits |= _exits(state, cc)
-        return bits
-    if ph == PH_NOTE_DUR:
-        return rules.durations
-    if ph == PH_NOTE_PITCH:
-        first = state.last_pitch + 1
-        return _block(PITCH_BASE + first, N_PITCHES - first)
-    if ph == PH_DRUM_KEY:
-        first = state.last_drum + 1
-        return _block(DRUM_BASE + first, _N_DRUMS - first)
     raise ValueError("terminal state has no legal continuation")
 
 
@@ -600,8 +601,13 @@ def legal_ids(
     The array is shared between calls and read-only.  Raises
     ConstraintConflictError when controls empty the grammar mask.
     """
-    cc = compile_control(control)
+    cc = control if isinstance(control, _CompiledControl) else compile_control(control)
     bits = _legal_bits(rules, state, cc)
+    # A mask seen before is one lookup.  0 is never cached: ``ids_of`` is
+    # reached only with a non-empty mask.
+    ids = rules._ids.get(bits)
+    if ids is not None:
+        return ids
     if not bits:
         grammar = rules.ids_of(_legal_bits(rules, state, _NO_CONTROL))
         expects = sorted(
@@ -668,7 +674,19 @@ def update_state(rules: RuleSet, state: FsmState, token: Token | int) -> FsmStat
         raise _illegal(state, token_id)
     state.step += 1
 
-    if token_id == BAR_ID:
+    # The note and drum phases come first: most steps are in them, and their
+    # grammar masks hold no bar, end or track token.
+    if ph == PH_NOTE_DUR:
+        state.phase = PH_NOTE_PITCH
+    elif ph == PH_NOTE_PITCH:
+        state.last_pitch = token_id - PITCH_BASE
+        state.group_count += 1
+        state.phase = PH_NOTE_POS
+    elif ph == PH_DRUM_KEY:
+        state.last_drum = token_id - DRUM_BASE
+        state.group_count += 1
+        state.phase = PH_DRUM_POS
+    elif token_id == BAR_ID:
         _close_bar(state)
         state.bar_index += 1
         state.phase = PH_GENRE
@@ -706,16 +724,6 @@ def update_state(rules: RuleSet, state: FsmState, token: Token | int) -> FsmStat
             state.last_drum = -1
         state.last_position = step
         state.phase = PH_NOTE_DUR if ph == PH_NOTE_POS else PH_DRUM_KEY
-    elif ph == PH_NOTE_DUR:
-        state.phase = PH_NOTE_PITCH
-    elif ph == PH_NOTE_PITCH:
-        state.last_pitch = token_id - PITCH_BASE
-        state.group_count += 1
-        state.phase = PH_NOTE_POS
-    else:  # PH_DRUM_KEY
-        state.last_drum = token_id - DRUM_BASE
-        state.group_count += 1
-        state.phase = PH_DRUM_POS
     return state
 
 
@@ -745,7 +753,7 @@ def replay(rules: RuleSet, seq: list[int], control: ControlSpec | None = None) -
     if not seq or seq[0] != BAR_ID:
         raise ValueError("sequence must start with the bar token")
     cc = compile_control(control)
-    state = initial_state(control)
+    state = initial_state(cc)
     for token_id in seq[1:]:
         if not mask_for_state(rules, state, cc)[token_id]:
             raise _illegal(state, token_id)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fsm import (
+    PH_TERMINAL,
     ControlSpec,
     RuleSet,
     compile_control,
@@ -37,6 +38,11 @@ from .vocab import BAR_ID, VOCAB_SIZE
 # their entries with them.
 _STEP_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
+# Uniforms a song draws from its generator at a time.  PCG64 fills a block
+# with the doubles that successive scalar ``random()`` calls return, in the
+# same order, so the block size moves no stream.
+_DRAW_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -49,14 +55,16 @@ class SamplerConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not self.temperature > 0:  # NaN fails this test too
+            raise ValueError(f"temperature must be positive, got {self.temperature}")
         if self.top_k is not None and self.top_k < 1:
             raise ValueError("top_k must be >= 1")
         if self.top_p is not None and not 0 < self.top_p <= 1:
             raise ValueError("top_p must be in (0, 1]")
         if self.max_tokens < 2:
             raise ValueError("max_tokens must be >= 2")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(slots=True)
@@ -108,6 +116,12 @@ def renormalize(
     return out
 
 
+def _uniforms(rng: np.random.Generator):
+    """The generator's doubles in order, drawn ``_DRAW_BLOCK`` at a time."""
+    while True:
+        yield from rng.random(_DRAW_BLOCK).tolist()
+
+
 def constrained_sample(
     model: NextTokenModel,
     rules: RuleSet,
@@ -121,11 +135,11 @@ def constrained_sample(
     result truncated) after ``max_tokens`` tokens.  Constraint
     conflicts from the state machine propagate with step context.
 
-    Each step draws one ``rng.random()`` and walks the cumulative
-    probabilities of the legal ids in ascending id order.  A step with a
-    single legal id emits it without scoring the model but still consumes
-    its draw, so a seed gives the stream it would give if every step
-    were scored.
+    Each step takes the next double of the song's generator, which the
+    sampler draws in blocks, and walks the cumulative probabilities of
+    the legal ids in ascending id order.  A step with a single legal id
+    emits it without scoring the model but still consumes its double, so
+    a seed gives the stream it would give if every step were scored.
 
     The cumulative probabilities of a step are a pure function of the
     score array, the legal-id array and the settings.  When the model
@@ -140,18 +154,21 @@ def constrained_sample(
     except TypeError:  # the model cannot be weakly referenced or hashed
         cache = {}
     cc = compile_control(control)
-    state = initial_state(control)
-    rng = np.random.default_rng(config.rng_seed)
+    state = initial_state(cc)
+    max_tokens, score = config.max_tokens, model.score
     seq = [BAR_ID]
-    while not state.terminal:
-        if len(seq) >= config.max_tokens:
+    # ``legal_ids`` and ``update_state`` are looked up on this module at each
+    # step, so a wrapper set on it sees every call.
+    for u in _uniforms(np.random.default_rng(config.rng_seed)):
+        if state.phase == PH_TERMINAL:
+            return SampleResult(seq, truncated=False)
+        if len(seq) >= max_tokens:
             return SampleResult(seq, truncated=True)
         ids = legal_ids(rules, state, cc)
         if len(ids) == 1:
-            rng.random()
-            token = int(ids[0])
+            token = ids.item(0)
         else:
-            scores = model.score(seq)
+            scores = score(seq)
             key = (id(scores), id(ids))
             entry = cache.get(key)
             if entry is None:
@@ -161,7 +178,6 @@ def constrained_sample(
                     ref = weakref.ref(scores, lambda _, key=key: cache.pop(key, None))
                     cache[key] = (ref, *entry[1:])
             _, _, cumulative, tokens = entry
-            token = tokens[bisect_right(cumulative, rng.random() * cumulative[-1])]
+            token = tokens[bisect_right(cumulative, u * cumulative[-1])]
         seq.append(token)
         state = update_state(rules, state, token)
-    return SampleResult(seq, truncated=False)

@@ -354,15 +354,26 @@ def test_config_values_of_the_wrong_type_exit_one(trained, monkeypatch, capsys, 
     assert f"config '{key}'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", [["--temperature", "0"], ["--top-k", "0"], ["--top-p", "1.5"]])
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--temperature", "0"],
+        ["--top-k", "0"],
+        ["--top-p", "1.5"],
+        ["--temperature", "nan"],
+        ["--seed", "-3"],
+    ],
+)
 def test_sampler_settings_out_of_range_exit_one(trained, capsys, flag):
     rc = main([
         "generate", "--model", str(trained / "model.bin"),
         "--out-dir", str(trained / "g"), "--bars", "1", *flag,
     ])
     assert rc == 1
-    assert "sampler settings" in capsys.readouterr().err
-    assert not (trained / "g" / "manifest.json").exists()
+    err = capsys.readouterr().err
+    assert "sampler settings" in err
+    assert flag[0].lstrip("-").replace("-", "_") in err
+    assert not (trained / "g").exists()
 
 
 def test_control_error_exits_one(trained):
@@ -458,6 +469,27 @@ def test_corrupt_manifest_exits_one(trained, capsys, field, value, named):
     ])
     assert rc == 1
     assert named in capsys.readouterr().err
+    assert not (trained / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["env", "config", "manifest"])
+def test_negative_seed_exits_one_and_writes_nothing(trained, monkeypatch, capsys, source):
+    if source == "manifest":
+        manifest = _recorded_manifest(trained)
+        manifest["run"]["seed"] = -3
+        (trained / "neg.json").write_text(json.dumps(manifest))
+        argv = ["generate", "--from-manifest", str(trained / "neg.json")]
+    else:
+        if source == "env":
+            monkeypatch.setenv("SYMPAC_SEED", "-3")
+            argv = []
+        else:
+            (trained / "neg.json").write_text(json.dumps({"seed": -3}))
+            argv = ["--config", str(trained / "neg.json")]
+        argv += ["generate", "--model", str(trained / "model.bin"), "--bars", "1"]
+    capsys.readouterr()
+    assert main([*argv, "--out-dir", str(trained / "out")]) == 1
+    assert "seed" in capsys.readouterr().err
     assert not (trained / "out").exists()
 
 

@@ -157,10 +157,56 @@ def test_default_config_fits_a_controlled_24_bar_song():
 def test_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(temperature=0.0)
+    with pytest.raises(ValueError, match="temperature"):
+        SamplerConfig(temperature=float("nan"))
     with pytest.raises(ValueError):
         SamplerConfig(top_k=0)
     with pytest.raises(ValueError):
         SamplerConfig(top_p=1.5)
+    with pytest.raises(ValueError, match="rng_seed"):
+        SamplerConfig(rng_seed=-3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 97, 2**32 - 1, 2**63 + 5])
+def test_blocks_of_draws_equal_successive_scalar_draws(seed):
+    # The sampler draws a song's doubles in blocks; this is the property of
+    # numpy's default generator that keeps every stream as scalar draws made it.
+    scalar = np.random.default_rng(seed)
+    expected = [scalar.random() for _ in range(700)]
+    blocks = np.random.default_rng(seed)
+    drawn = []
+    for size in (100, 256, 1, 343):  # block ends fall mid-way through each other
+        drawn += blocks.random(size).tolist()
+    assert drawn == expected
+
+
+def test_a_song_longer_than_two_blocks_matches_the_reference():
+    control = ControlSpec(chords=parse_chords_arg("F,C,G,A:min"), n_bars=48)
+    config = SamplerConfig(rng_seed=31)
+    result = constrained_sample(UniformModel(), RULES, control, config)
+    assert len(result.tokens) > 2 * sampler._DRAW_BLOCK
+    assert result == reference_sample(UniformModel(), RULES, control, config)
+
+
+def test_every_step_calls_the_module_level_fsm_functions(monkeypatch):
+    # Tracing replaces these two names on the sampler module; a sampler that
+    # reached the functions through any other name would hide its steps.
+    calls = {"legal_ids": 0, "update_state": 0}
+
+    def counting(name):
+        original = getattr(sampler, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sampler, name, counting(name))
+    control = ControlSpec(genre="Pop", chords=("C", "G"), n_bars=2)
+    result = constrained_sample(UniformModel(), RULES, control, SamplerConfig(rng_seed=4))
+    assert calls == dict.fromkeys(calls, len(result.tokens) - 1)
 
 
 def test_sampler_respects_context_limit():
@@ -177,8 +223,9 @@ def test_sampler_respects_context_limit():
 
 
 def reference_sample(model, rules, control, config):
-    """`constrained_sample` without the step cache: every scored step
-    computes its distribution afresh."""
+    """`constrained_sample` without the step cache or the draw buffer:
+    every scored step computes its distribution afresh, and every step
+    makes its own scalar draw."""
     cc = compile_control(control)
     state = initial_state(control)
     rng = np.random.default_rng(config.rng_seed)
