@@ -60,7 +60,7 @@ from .ingest import (
 )
 from .lm import NgramModel, UniformModel, load_model, perplexity, save_model, train_ngram
 from .metrics import MetricDistribution, class_report, extract_metric, kld
-from .sampler import SampleResult, SamplerConfig, constrained_sample, renormalize
+from .sampler import SampleResult, SamplerConfig, constrained_sample
 from .smf import export_smf, import_smf
 from .structure import (
     StructureEstimate,

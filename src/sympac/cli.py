@@ -41,6 +41,7 @@ from .ingest import parse_annotations, quantize_to_grid
 from .lm import (
     DEFAULT_DISCOUNT,
     DEFAULT_ORDER,
+    NgramModel,
     load_model_file,
     perplexity,
     save_model_file,
@@ -261,6 +262,10 @@ def _cmd_ingest(args, config: dict) -> int:
 def _cmd_train(args, config: dict) -> int:
     order = _cfg(args, config, "order", DEFAULT_ORDER, _whole)
     discount = _cfg(args, config, "discount", DEFAULT_DISCOUNT, float)
+    try:
+        NgramModel(order, discount)
+    except ValueError as exc:
+        raise _Usage(f"model settings: {exc}") from None
     corpus = read_corpus(args.corpus)
     if not corpus:
         print("corpus is empty", file=sys.stderr)
@@ -313,9 +318,8 @@ def _control_from_args(args, config: dict) -> ControlSpec:
 _worker_run: tuple | Exception | None = None
 
 
-def _gen_init(model_path: str, control_doc: dict | None, sampler_kwargs: dict) -> None:
+def _gen_init(model_path: str, control: ControlSpec, sampler_kwargs: dict) -> None:
     global _worker_run
-    control = ControlSpec.from_json(control_doc) if control_doc is not None else None
     try:
         _worker_run = (load_model_file(model_path), control, sampler_kwargs)
     except (SympacError, OSError) as exc:
@@ -337,9 +341,7 @@ def _cmd_generate(args, config: dict) -> int:
             with open(args.from_manifest, "r", encoding="utf-8") as fh:
                 manifest = json.load(fh)
             run = manifest["run"]
-            control = (
-                ControlSpec.from_json(run["control"]) if run["control"] is not None else None
-            )
+            control = ControlSpec.from_json({} if run["control"] is None else run["control"])
             sampler = _field("manifest field", run, "sampler", _exact(dict))
             if sampler.keys() != _SAMPLER_SETTINGS.keys():
                 raise KeyError(f"sampler keys {sorted(sampler)} are not {list(_SAMPLER_SETTINGS)}")
@@ -367,8 +369,7 @@ def _cmd_generate(args, config: dict) -> int:
         if not args.model:
             raise _Usage("--model is required (or --from-manifest)")
         model_path = args.model
-        control_spec = _control_from_args(args, config)
-        control = None if not control_spec.to_json() else control_spec
+        control = _control_from_args(args, config)
         seed = _cfg(args, config, "seed", _env_seed(), _whole)
         n_samples = _cfg(args, config, "n_samples", 1, _whole)
         sampler_kwargs = {
@@ -389,8 +390,7 @@ def _cmd_generate(args, config: dict) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    control_doc = control.to_json() if control is not None else None
-    run_args = (str(model_path), control_doc, sampler_kwargs)
+    run_args = (str(model_path), control, sampler_kwargs)
     seeds = range(seed, seed + n_samples)
     results = _map_jobs(_gen_worker, seeds, jobs, _gen_init, run_args)
 
@@ -421,7 +421,7 @@ def _cmd_generate(args, config: dict) -> int:
             "command": "generate",
             "model": str(model_path),
             "model_sha256": model_sha256,
-            "control": control_doc,
+            "control": control.to_json() or None,
             "sampler": sampler_kwargs,
             "seed": seed,
             "n_samples": n_samples,

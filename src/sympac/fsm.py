@@ -18,7 +18,7 @@ skeleton, any control satisfied by the prompt is satisfied by the music.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -57,7 +57,6 @@ MAX_NOTES_PER_PART = 128
 
 _N_DRUMS = VOCAB_SIZE - DRUM_BASE
 _DRUMS_TRACK = len(TRACKS) - 1
-_ALL_TRACKS_MASK = (1 << len(TRACKS)) - 1
 _MASK_BYTES = (VOCAB_SIZE + 7) // 8
 _BAR_BIT, _EOP_BIT, _EOS_BIT = 1 << BAR_ID, 1 << EOP_ID, 1 << EOS_ID
 
@@ -118,6 +117,11 @@ def _whole(value) -> int:
     return int(value)
 
 
+def _track_bits(labels) -> int:
+    """Bitmask over the tracks of the track names in ``labels``."""
+    return sum(1 << TRACKS.index(label) for label in labels)
+
+
 def parse_chords_arg(text: str) -> tuple[str, ...]:
     """Parse a progression like ``F,C,G,A:min`` into canonical symbols."""
     symbols = tuple(_canonical_chord(part) for part in text.split(",") if part.strip())
@@ -160,6 +164,12 @@ class ControlSpec:
     places chords explicitly as (bar, step, symbol) and pins the listed
     bars to exactly those chords.  ``forced_tracks`` must appear in
     every bar; ``allowed_tracks`` is the closed set a bar may use.
+
+    Building a spec validates it and lowers it to what the masks read:
+    ``genre_idx`` and ``bpm_idx`` (-1 when free), ``sec_ids`` and
+    ``loop`` (section and chord indices, or None), ``schedule`` (bar ->
+    (step, chord index) pairs, or None), the ``allowed`` and ``forced``
+    track bitmasks, and ``bars``, the bar count (-1 when free).
     """
 
     genre: str | None = None
@@ -195,6 +205,10 @@ class ControlSpec:
                 raise ControlError(
                     f"sections length {len(self.sections)} != n_bars {self.n_bars}"
                 )
+        if self.n_bars is not None:
+            bars = self.n_bars
+        else:
+            bars = len(self.sections) if self.sections is not None else -1
         if self.chords is not None and self.chord_schedule is not None:
             raise ControlError("give chords or chord_schedule, not both")
         if self.chords is not None:
@@ -227,13 +241,10 @@ class ControlSpec:
                     raise ControlError(
                         f"chord_schedule steps must increase within bar {a[0]}"
                     )
-            total = self.n_bars if self.n_bars is not None else (
-                len(self.sections) if self.sections is not None else None
-            )
-            if total is not None and normalized[-1][0] >= total:
+            if 0 <= bars <= normalized[-1][0]:
                 raise ControlError(
                     f"chord_schedule refers to bar {normalized[-1][0]} but only "
-                    f"{total} bars are requested"
+                    f"{bars} bars are requested"
                 )
             object.__setattr__(self, "chord_schedule", tuple(normalized))
         for name in ("allowed_tracks", "forced_tracks"):
@@ -254,6 +265,51 @@ class ControlSpec:
         ):
             raise ControlError("forced_tracks must be a subset of allowed_tracks")
 
+        # Attributes, not fields: ==, hash, repr and to_json see only the
+        # inputs, and dataclasses.replace derives them afresh.  They are set
+        # one by one: reading ``__dict__`` slows every later attribute read
+        # on CPython (about 4x on 3.11), and the masks read them per step.
+        allowed = TRACKS if self.allowed_tracks is None else self.allowed_tracks
+        sec_ids = loop = schedule = None
+        if self.sections is not None:
+            sec_ids = tuple(map(SECTIONS.index, self.sections))
+        if self.chords is not None:
+            loop = tuple(map(CHORDS.index, self.chords))
+        if self.chord_schedule is not None:
+            by_bar: dict[int, list[tuple[int, int]]] = {}
+            for bar, step, symbol in self.chord_schedule:
+                by_bar.setdefault(bar, []).append((step, CHORDS.index(symbol)))
+            schedule = {bar: tuple(v) for bar, v in by_bar.items()}
+        for name, value in (
+            ("genre_idx", GENRES.index(self.genre) if self.genre is not None else -1),
+            ("bpm_idx", self.bpm_level if self.bpm_level is not None else -1),
+            ("sec_ids", sec_ids),
+            ("loop", loop),
+            ("schedule", schedule),
+            ("allowed", _track_bits(allowed)),
+            ("forced", _track_bits(self.forced_tracks or ())),
+            ("bars", bars),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # A copy or an unpickled spec is built from the inputs and lowers
+        # itself, rather than through ``__dict__`` (see above).
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+    def sched_for(self, bar: int) -> tuple[tuple[int, int], ...] | None:
+        """Forced (step, chord) list for a prompt bar; None means free."""
+        if self.loop is not None:
+            return ((0, self.loop[bar % len(self.loop)]),)
+        if self.schedule is not None:
+            return self.schedule.get(bar, ())
+        return None
+
+    @property
+    def describe(self) -> str:
+        """The controls as ``key=value`` pairs, for conflict reports."""
+        return ", ".join(f"{k}={v}" for k, v in self.to_json().items()) or "none"
+
     @classmethod
     def from_json(cls, doc: dict) -> "ControlSpec":
         """Build from the control-file schema (see README: control files)."""
@@ -261,16 +317,18 @@ class ControlSpec:
             raise ControlError("control document must be a JSON object")
         sections = None
         if doc.get("structure") is not None:
-            parts = []
+            sections = []
             for entry in doc["structure"]:
                 if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                     raise ControlError("structure entries must be [label, bars] pairs")
                 label, bars = entry
                 try:
-                    parts.append(f"{label}*{_whole(bars)}")
+                    n = _whole(bars)
                 except ValueError:
                     raise ControlError(f"bad bar count {bars!r} in structure") from None
-            sections = parse_structure_arg(",".join(parts))
+                if n < 1:
+                    raise ControlError(f"bar count must be >= 1 in structure, got {n}")
+                sections.extend([label] * n)
 
         def entries(key: str) -> tuple | None:
             value = doc.get(key)
@@ -335,74 +393,13 @@ class ControlSpec:
         return doc
 
 
-class _CompiledControl:
-    """ControlSpec lowered to ids and bitmasks for the mask hot path."""
-
-    __slots__ = (
-        "genre_idx",
-        "bpm_idx",
-        "sec_ids",
-        "loop",
-        "schedule",
-        "allowed",
-        "forced",
-        "n_bars",
-        "describe",
-    )
-
-    def __init__(self, spec: ControlSpec | None):
-        spec = spec if spec is not None else ControlSpec()
-        self.genre_idx = GENRES.index(spec.genre) if spec.genre is not None else -1
-        self.bpm_idx = spec.bpm_level if spec.bpm_level is not None else -1
-        self.sec_ids = (
-            [SECTIONS.index(s) for s in spec.sections]
-            if spec.sections is not None
-            else None
-        )
-        self.loop = (
-            [CHORDS.index(c) for c in spec.chords] if spec.chords is not None else None
-        )
-        self.schedule: dict[int, tuple[tuple[int, int], ...]] | None = None
-        if spec.chord_schedule is not None:
-            by_bar: dict[int, list[tuple[int, int]]] = {}
-            for bar, step, symbol in spec.chord_schedule:
-                by_bar.setdefault(bar, []).append((step, CHORDS.index(symbol)))
-            self.schedule = {bar: tuple(v) for bar, v in by_bar.items()}
-        self.allowed = _ALL_TRACKS_MASK
-        if spec.allowed_tracks is not None:
-            self.allowed = 0
-            for label in spec.allowed_tracks:
-                self.allowed |= 1 << TRACKS.index(label)
-        self.forced = 0
-        if spec.forced_tracks is not None:
-            for label in spec.forced_tracks:
-                self.forced |= 1 << TRACKS.index(label)
-        if spec.n_bars is not None:
-            self.n_bars = spec.n_bars
-        elif spec.sections is not None:
-            self.n_bars = len(spec.sections)
-        else:
-            self.n_bars = -1
-        self.describe = ", ".join(f"{k}={v}" for k, v in spec.to_json().items()) or "none"
-
-    def sched_for(self, bar: int) -> tuple[tuple[int, int], ...] | None:
-        """Forced (step, chord) list for a prompt bar; None means free."""
-        if self.loop is not None:
-            return ((0, self.loop[bar % len(self.loop)]),)
-        if self.schedule is not None:
-            return self.schedule.get(bar, ())
-        return None
+_NO_CONTROL = ControlSpec()
 
 
-_NO_CONTROL = _CompiledControl(None)
-
-
-def compile_control(control: "ControlSpec | _CompiledControl | None") -> _CompiledControl:
-    if control is None:
-        return _NO_CONTROL
-    if isinstance(control, _CompiledControl):
-        return control
-    return _CompiledControl(control)
+def compile_control(control: ControlSpec | None) -> ControlSpec:
+    """The control the mask code reads: ``control`` itself, or the empty
+    control for None.  A ``ControlSpec`` lowers itself when it is built."""
+    return _NO_CONTROL if control is None else control
 
 
 class FsmState:
@@ -496,13 +493,16 @@ def build_rules() -> RuleSet:
     return RuleSet()
 
 
-def initial_state(control: ControlSpec | _CompiledControl | None = None) -> FsmState:
-    """State after the start token ``bar``; the next token is bar 0's genre."""
-    compile_control(control)  # raises ControlError when inconsistent
+def initial_state(control: ControlSpec | None = None) -> FsmState:
+    """State after the start token ``bar``; the next token is bar 0's genre.
+
+    The start state is the same under every control: a ``ControlSpec`` is
+    checked when it is built, and the masks read it at each step.
+    """
     return FsmState()
 
 
-def _track_candidates(state: FsmState, cc: _CompiledControl) -> int:
+def _track_candidates(state: FsmState, cc: ControlSpec) -> int:
     if state.in_prompt:
         allowed = cc.allowed
     else:
@@ -516,22 +516,22 @@ def _track_candidates(state: FsmState, cc: _CompiledControl) -> int:
     return candidates
 
 
-def _bar_end_bits(state: FsmState, cc: _CompiledControl) -> int:
+def _bar_end_bits(state: FsmState, cc: ControlSpec) -> int:
     if cc.forced & ~state.tracks_emitted:
         return 0
     if state.in_prompt:
-        if cc.n_bars >= 0:
-            return _BAR_BIT if state.bar_index < cc.n_bars - 1 else _EOP_BIT
+        if cc.bars >= 0:
+            return _BAR_BIT if state.bar_index < cc.bars - 1 else _EOP_BIT
         return _BAR_BIT | _EOP_BIT
     return _BAR_BIT if state.bar_index < len(state.prompt_bars) - 1 else _EOS_BIT
 
 
-def _exits(state: FsmState, cc: _CompiledControl) -> int:
+def _exits(state: FsmState, cc: ControlSpec) -> int:
     """Bits of the tokens that leave the current part: a next track or a bar end."""
     return _track_candidates(state, cc) << TRACK_BASE | _bar_end_bits(state, cc)
 
 
-def _legal_bits(rules: RuleSet, state: FsmState, cc: _CompiledControl) -> int:
+def _legal_bits(rules: RuleSet, state: FsmState, cc: ControlSpec) -> int:
     """Bitmask of the tokens legal in ``state``; 0 when the controls leave none."""
     ph = state.phase
     # Songs spend most steps in the note and drum phases, so they come first.
@@ -594,14 +594,15 @@ def _legal_bits(rules: RuleSet, state: FsmState, cc: _CompiledControl) -> int:
 
 
 def legal_ids(
-    rules: RuleSet, state: FsmState, control: ControlSpec | _CompiledControl | None = None
+    rules: RuleSet, state: FsmState, control: ControlSpec | None = None
 ) -> np.ndarray:
-    """Ascending ids of the tokens legal in ``state``.
+    """Ascending ids of the tokens legal in ``state`` under ``control``
+    (None: the grammar alone).
 
     The array is shared between calls and read-only.  Raises
     ConstraintConflictError when controls empty the grammar mask.
     """
-    cc = control if isinstance(control, _CompiledControl) else compile_control(control)
+    cc = _NO_CONTROL if control is None else control
     bits = _legal_bits(rules, state, cc)
     # A mask seen before is one lookup.  0 is never cached: ``ids_of`` is
     # reached only with a non-empty mask.
@@ -620,7 +621,7 @@ def legal_ids(
 
 
 def mask_for_state(
-    rules: RuleSet, state: FsmState, control: ControlSpec | _CompiledControl | None = None
+    rules: RuleSet, state: FsmState, control: ControlSpec | None = None
 ) -> np.ndarray:
     """Boolean mask over the vocabulary of tokens legal in ``state``.
 
@@ -744,18 +745,18 @@ def _enter_track(state: FsmState, track: int) -> None:
 def replay(rules: RuleSet, seq: list[int], control: ControlSpec | None = None) -> FsmState:
     """Drive the machine over a full sequence (first token must be bar).
 
-    Every token is checked against the mask under ``control`` before the
-    machine advances, which makes this a completeness check for encoder
-    output: an encoded song that satisfies ``control`` replays to the
-    terminal state.  Raises ValueError at the first token outside the
-    mask, and ConstraintConflictError where the controls leave none.
+    Every token is checked against ``legal_ids`` under ``control`` before
+    the machine advances, which makes this a completeness check for
+    encoder output: an encoded song that satisfies ``control`` replays to
+    the terminal state.  Raises ValueError at the first token outside the
+    legal ids, an id outside the vocabulary included, and
+    ConstraintConflictError where the controls leave none.
     """
     if not seq or seq[0] != BAR_ID:
         raise ValueError("sequence must start with the bar token")
-    cc = compile_control(control)
-    state = initial_state(cc)
+    state = initial_state(control)
     for token_id in seq[1:]:
-        if not mask_for_state(rules, state, cc)[token_id]:
+        if token_id not in legal_ids(rules, state, control):
             raise _illegal(state, token_id)
         state = update_state(rules, state, token_id)
     return state

@@ -20,13 +20,12 @@ from .fsm import (
     PH_TERMINAL,
     ControlSpec,
     RuleSet,
-    compile_control,
     initial_state,
     legal_ids,
     update_state,
 )
 from .lm import NextTokenModel
-from .vocab import BAR_ID, VOCAB_SIZE
+from .vocab import BAR_ID
 
 
 # model -> {(temperature, top_k, top_p): {(id(scores), id(ids)): (weak
@@ -96,26 +95,6 @@ def _masked_weights(
     return weights / weights.sum()
 
 
-def renormalize(
-    scores: np.ndarray,
-    mask: np.ndarray,
-    temperature: float = 1.0,
-    top_k: int | None = None,
-    top_p: float | None = None,
-) -> np.ndarray:
-    """Probabilities over the full vocabulary, zero outside the mask.
-
-    Inside the mask: softmax(scores / temperature), then top-k, then
-    top-p (both computed among masked ids only), renormalized to one.
-    """
-    ids = np.flatnonzero(mask)
-    if len(ids) == 0:
-        raise ValueError("empty mask")
-    out = np.zeros(VOCAB_SIZE)
-    out[ids] = _masked_weights(scores, ids, temperature, top_k, top_p)
-    return out
-
-
 def _uniforms(rng: np.random.Generator):
     """The generator's doubles in order, drawn ``_DRAW_BLOCK`` at a time."""
     while True:
@@ -153,8 +132,7 @@ def constrained_sample(
         cache = _STEP_CACHE.setdefault(model, {}).setdefault(settings, {})
     except TypeError:  # the model cannot be weakly referenced or hashed
         cache = {}
-    cc = compile_control(control)
-    state = initial_state(cc)
+    state = initial_state(control)
     max_tokens, score = config.max_tokens, model.score
     seq = [BAR_ID]
     # ``legal_ids`` and ``update_state`` are looked up on this module at each
@@ -164,7 +142,7 @@ def constrained_sample(
             return SampleResult(seq, truncated=False)
         if len(seq) >= max_tokens:
             return SampleResult(seq, truncated=True)
-        ids = legal_ids(rules, state, cc)
+        ids = legal_ids(rules, state, control)
         if len(ids) == 1:
             token = ids.item(0)
         else:

@@ -8,6 +8,7 @@ import pytest
 
 from sympac.cli import main
 from sympac.encoding import encode_song, read_corpus, write_corpus
+from sympac.fsm import ControlSpec
 from sympac.ingest import render_annotations, serialize_annotations
 from sympac.lm import load_model_file, save_model_file
 from sympac.smf import export_smf
@@ -81,6 +82,24 @@ def test_missing_corpus_is_data_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "key, value", [("order", 0), ("order", 9), ("discount", 1.5), ("discount", "nan")]
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_train_settings_out_of_range_exit_one(tmp_path, capsys, source, key, value):
+    # the corpus does not exist, so exit 1 shows the settings are checked first
+    argv = ["train", "--corpus", str(tmp_path / "nope.bin"), "--out", str(tmp_path / "m.bin")]
+    if source == "flag":
+        argv += [f"--{key}", str(value)]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+        argv = ["--config", str(tmp_path / "cfg.json"), *argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not (tmp_path / "m.bin").exists()
+
+
 @pytest.fixture
 def trained(workspace):
     main(["ingest", str(workspace), "--out", str(workspace / "corpus.bin")])
@@ -150,7 +169,7 @@ def test_generate_worker_loads_the_model_once(trained, monkeypatch):
 
     monkeypatch.setattr(cli, "load_model_file", counting_load)
     monkeypatch.setattr(cli, "_worker_run", None)
-    cli._gen_init(str(trained / "model.bin"), {"n_bars": 2}, {"max_tokens": 20000})
+    cli._gen_init(str(trained / "model.bin"), ControlSpec(n_bars=2), {"max_tokens": 20000})
     first = [cli._gen_worker(seed) for seed in (4, 5, 6)]
     assert len(loads) == 1
     assert first == [cli._gen_worker(seed) for seed in (4, 5, 6)]

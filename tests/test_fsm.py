@@ -1,4 +1,7 @@
 import copy
+import dataclasses
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -605,3 +608,49 @@ def test_structure_rejects_non_integral_bar_counts():
             ControlSpec.from_json({"structure": [["verse", bars]]})
     spec = ControlSpec.from_json({"structure": [["verse", 2.0]]})
     assert spec.sections == ("verse", "verse")
+
+
+def test_structure_pairs_take_exact_section_labels():
+    # a pair's label is one section label, never a CLI structure string
+    for label in ("verse,chorus", "verse*3", " verse"):
+        with pytest.raises(ControlError, match=re.escape(f"unknown section label {label!r}")):
+            ControlSpec.from_json({"structure": [[label, 2]]})
+    with pytest.raises(ControlError, match="bar count must be >= 1"):
+        ControlSpec.from_json({"structure": [["verse", 0]]})
+    spec = ControlSpec.from_json({"structure": [["intro", 1], ["verse", 2]]})
+    assert spec.sections == ("intro", "verse", "verse")
+
+
+def _legal_outcome(state, control):
+    """The ids ``legal_ids`` gives, or the conflict it reports."""
+    try:
+        return legal_ids(RULES, state, control).tolist()
+    except ConstraintConflictError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(control_specs(), st.integers(0, 2**32 - 1), st.booleans())
+def test_rebuilt_specs_give_the_same_legal_ids(spec, seed, tamper):
+    rebuilt = (
+        dataclasses.replace(spec),
+        pickle.loads(pickle.dumps(spec)),
+        ControlSpec.from_json(spec.to_json()),
+    )
+    for state in controlled_walk(spec, seed, tamper):
+        want = _legal_outcome(state, spec)
+        assert [_legal_outcome(state, other) for other in rebuilt] == [want] * len(rebuilt)
+
+
+def test_replace_derives_the_lowered_control_afresh():
+    spec = ControlSpec(genre="Pop", n_bars=2)
+    rock = dataclasses.replace(spec, genre="Rock")
+    assert rock.genre_idx == GENRES.index("Rock") != spec.genre_idx
+    assert legal_ids(RULES, initial_state(rock), rock).tolist() == [genre_id("Rock")]
+    assert "genre=Rock" in rock.describe
+
+
+@pytest.mark.parametrize("token_id", [fsm.VOCAB_SIZE, fsm.VOCAB_SIZE + 100])
+def test_replay_rejects_an_id_outside_the_vocabulary(token_id):
+    with pytest.raises(ValueError):
+        replay(RULES, [BAR_ID, token_id])

@@ -2,10 +2,12 @@
 of the other tests run it, so a library change that removes or renames a
 name it uses would break the benchmark with every test here passing.
 This reads its sources (without running or changing them) and checks
-that each name it takes from sympac still exists."""
+that each name it takes from sympac still exists, and that each call it
+makes into sympac still fits the callee's signature."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -13,9 +15,12 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _resolve(dotted: str) -> bool:
-    """Whether ``dotted`` names a sympac module or an attribute reachable
-    from one by ``getattr``."""
+_MISSING = object()
+
+
+def _lookup(dotted: str):
+    """The sympac module named ``dotted``, or the attribute reachable from
+    one by ``getattr``; ``_MISSING`` when there is none."""
     parts = dotted.split(".")
     for split in range(len(parts), 0, -1):
         try:
@@ -23,11 +28,11 @@ def _resolve(dotted: str) -> bool:
         except ImportError:
             continue
         for part in parts[split:]:
-            if not hasattr(obj, part):
-                return False
-            obj = getattr(obj, part)
-        return True
-    return False
+            obj = getattr(obj, part, _MISSING)
+            if obj is _MISSING:
+                break
+        return obj
+    return _MISSING
 
 
 def _dotted(node: ast.AST) -> str | None:
@@ -40,10 +45,10 @@ def _dotted(node: ast.AST) -> str | None:
     return None
 
 
-def _sympac_names(tree: ast.Module) -> set[str]:
-    """Every sympac name the module imports or reads off an imported module."""
+def _imports(tree: ast.Module) -> tuple[set[str], dict[str, str]]:
+    """The sympac names the module imports, and each local name bound to one."""
     names: set[str] = set()
-    modules: dict[str, str] = {}  # local name -> sympac module it is bound to
+    modules: dict[str, str] = {}  # local name -> sympac name it is bound to
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -58,6 +63,12 @@ def _sympac_names(tree: ast.Module) -> set[str]:
                 full = f"{node.module}.{alias.name}"
                 names.add(full)
                 modules[alias.asname or alias.name] = full
+    return names, modules
+
+
+def _sympac_names(tree: ast.Module) -> set[str]:
+    """Every sympac name the module imports or reads off an imported module."""
+    names, modules = _imports(tree)
     for node in ast.walk(tree):
         dotted = _dotted(node) if isinstance(node, ast.Attribute) else None
         if dotted is not None:
@@ -65,6 +76,28 @@ def _sympac_names(tree: ast.Module) -> set[str]:
             if root in modules:
                 names.add(f"{modules[root]}.{rest}")
     return names
+
+
+def _sympac_calls(tree: ast.Module) -> list[tuple[str, int, int, list[str]]]:
+    """(callee, line, positional count, keyword names) of every call the
+    module makes straight to a sympac name; a call with ``*`` or ``**``
+    arguments has no fixed shape and is left out."""
+    _, modules = _imports(tree)
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        dotted = _dotted(node.func)
+        root, _, rest = (dotted or "").partition(".")
+        if root not in modules:
+            continue
+        if any(isinstance(arg, ast.Starred) for arg in node.args) or any(
+            kw.arg is None for kw in node.keywords
+        ):
+            continue
+        callee = f"{modules[root]}.{rest}" if rest else modules[root]
+        calls.append((callee, node.lineno, len(node.args), [kw.arg for kw in node.keywords]))
+    return calls
 
 
 def _perfbench_names() -> set[str]:
@@ -84,4 +117,22 @@ def test_perfbench_reaches_sympac_through_many_names():
 
 @pytest.mark.parametrize("name", sorted(_perfbench_names()))
 def test_perfbench_name_exists(name):
-    assert _resolve(name), f"perfbench uses {name}, which sympac no longer has"
+    assert _lookup(name) is not _MISSING, f"perfbench uses {name}, which sympac no longer has"
+
+
+def test_perfbench_calls_fit_sympac_signatures():
+    checked, misfits = set(), []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for callee, line, positional, keywords in _sympac_calls(ast.parse(path.read_text())):
+            try:
+                signature = inspect.signature(_lookup(callee))
+            except (TypeError, ValueError):  # not callable, or no signature to read
+                continue
+            checked.add(callee)
+            try:
+                signature.bind(*[None] * positional, **dict.fromkeys(keywords))
+            except TypeError as exc:
+                misfits.append(f"{path.name}:{line} {callee}: {exc}")
+    # guards the check against passing because it found nothing
+    assert {"sympac.fsm.initial_state", "sympac.fsm.compile_control"} <= checked, sorted(checked)
+    assert not misfits, misfits

@@ -19,7 +19,7 @@ from sympac.fsm import (
     update_state,
 )
 from sympac.lm import UniformModel, train_ngram
-from sympac.sampler import SamplerConfig, SampleResult, constrained_sample, renormalize
+from sympac.sampler import SamplerConfig, SampleResult, constrained_sample
 from sympac.vocab import BAR_ID, VOCAB_SIZE
 from synthcorpus import FreshScores, OneBuffer, chord_corpus, control_specs
 
@@ -27,32 +27,27 @@ RULES = build_rules()
 
 
 def test_renormalize_uniform_mass():
-    mask = np.zeros(VOCAB_SIZE, dtype=bool)
-    mask[10:27] = True
-    probs = renormalize(np.zeros(VOCAB_SIZE), mask)
-    assert probs[10:27] == pytest.approx(np.full(17, 1 / 17))
+    ids = np.arange(10, 27)
+    probs = sampler._masked_weights(np.zeros(VOCAB_SIZE), ids, 1.0, None, None)
+    assert probs == pytest.approx(np.full(17, 1 / 17))
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
-    assert not probs[:10].any() and not probs[27:].any()
 
 
 def test_renormalize_zero_temperature_limit():
     rng = np.random.default_rng(2)
     scores = rng.normal(size=VOCAB_SIZE)
-    mask = np.zeros(VOCAB_SIZE, dtype=bool)
-    mask[50:90] = True
-    probs = renormalize(scores, mask, temperature=1e-9)
-    best = 50 + int(np.argmax(scores[50:90]))
-    assert probs[best] == pytest.approx(1.0)
+    ids = np.arange(50, 90)
+    probs = sampler._masked_weights(scores, ids, 1e-9, None, None)
+    assert probs[int(np.argmax(scores[50:90]))] == pytest.approx(1.0)
 
 
 def test_top_k_one_equals_argmax():
     rng = np.random.default_rng(3)
     for _ in range(200):
         scores = rng.normal(size=VOCAB_SIZE)
-        mask = np.zeros(VOCAB_SIZE, dtype=bool)
-        mask[rng.choice(VOCAB_SIZE, size=rng.integers(2, 40), replace=False)] = True
-        via_top_k = renormalize(scores, mask, top_k=1)
-        via_temp = renormalize(scores, mask, temperature=1e-12)
+        ids = np.sort(rng.choice(VOCAB_SIZE, size=rng.integers(2, 40), replace=False))
+        via_top_k = sampler._masked_weights(scores, ids, 1.0, 1, None)
+        via_temp = sampler._masked_weights(scores, ids, 1e-12, None, None)
         assert np.argmax(via_top_k) == np.argmax(via_temp)
         assert via_top_k[np.argmax(via_top_k)] == pytest.approx(1.0)
 
@@ -60,26 +55,18 @@ def test_top_k_one_equals_argmax():
 def test_top_p_keeps_smallest_sufficient_prefix():
     scores = np.full(VOCAB_SIZE, -np.inf)
     scores[:4] = np.log([0.5, 0.3, 0.15, 0.05])
-    mask = np.zeros(VOCAB_SIZE, dtype=bool)
-    mask[:4] = True
-    probs = renormalize(scores, mask, top_p=0.79)
+    probs = sampler._masked_weights(scores, np.arange(4), 1.0, None, 0.79)
     assert probs[0] == pytest.approx(0.5 / 0.8)
     assert probs[1] == pytest.approx(0.3 / 0.8)
     assert probs[2] == probs[3] == 0.0
-
-
-def test_renormalize_requires_nonempty_mask():
-    with pytest.raises(ValueError, match="empty mask"):
-        renormalize(np.zeros(VOCAB_SIZE), np.zeros(VOCAB_SIZE, dtype=bool))
 
 
 def test_mass_conservation_along_generation():
     rng = np.random.default_rng(4)
     for _ in range(100):
         scores = rng.normal(size=VOCAB_SIZE) * 3
-        mask = np.zeros(VOCAB_SIZE, dtype=bool)
-        mask[rng.choice(VOCAB_SIZE, size=rng.integers(1, 100), replace=False)] = True
-        probs = renormalize(scores, mask, temperature=0.7, top_k=8, top_p=0.9)
+        ids = np.sort(rng.choice(VOCAB_SIZE, size=rng.integers(1, 100), replace=False))
+        probs = sampler._masked_weights(scores, ids, 0.7, 8, 0.9)
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
 
