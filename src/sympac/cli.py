@@ -30,6 +30,7 @@ from .encoding import (
     tokens_to_bytes,
     tokens_to_text,
     validate,
+    write_corpus,
 )
 from .errors import (
     ConstraintConflictError,
@@ -102,6 +103,9 @@ def _load_config(path: str | None) -> dict:
         raise _Usage(f"config file: {exc}") from None
     if not isinstance(doc, dict):
         raise _Usage("config file must hold a JSON object")
+    unknown = sorted(doc.keys() - _CONFIG_KEYS)
+    if unknown:
+        raise _Usage(f"config file: no command reads the key(s) {unknown}")
     return doc
 
 
@@ -131,6 +135,10 @@ _SAMPLER_SETTINGS = {
     "top_p": lambda value: None if value is None else float(value),
     "max_tokens": _whole,
 }
+
+
+# Every key some command reads; one config file may serve them all.
+_CONFIG_KEYS = {"genre", "jobs", "order", "discount", "seed", "n_samples", "control", *_SAMPLER_SETTINGS}
 
 
 def _field(source: str, record: dict, key: str, convert):
@@ -230,7 +238,6 @@ def _cmd_ingest(args, config: dict) -> int:
     results = _map_jobs(functools.partial(_ingest_or_reject, genre=genre), inputs, jobs)
 
     sequences: list[list[int]] = []
-    lengths: list[int] = []
     failures = 0
     for path, result in zip(inputs, results):  # input order, whatever the jobs
         if isinstance(result, Exception):
@@ -239,19 +246,16 @@ def _cmd_ingest(args, config: dict) -> int:
             continue
         for source_id, seq in result:
             sequences.append(seq)
-            lengths.append(len(seq))
             print(f"ingest {source_id}: {len(seq)} tokens")
     if not sequences:
         print("all inputs failed", file=sys.stderr)
         return EXIT_DATA
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    from .encoding import write_corpus
-
     write_corpus(out, sequences)
     print(
         f"wrote {len(sequences)} sequences to {out} "
-        f"(mean length {sum(lengths) / len(lengths):.0f}, rejects {failures})"
+        f"(mean length {sum(map(len, sequences)) / len(sequences):.0f}, rejects {failures})"
     )
     return EXIT_OK
 

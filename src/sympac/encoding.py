@@ -45,6 +45,7 @@ from .vocab import (
     TRACKS,
     VOCAB_SIZE,
     bpm_id,
+    build_vocab,
     chord_id,
     drum_id,
     duration_id,
@@ -375,9 +376,13 @@ def decode_sequence(seq: list[int], source_id: str = "") -> GridSong:
 # Token sequence files: binary records and a readable text form.
 
 def tokens_to_bytes(seq: list[int]) -> bytes:
+    """One token record.  An id that is not an integer in 0..335 (a NumPy
+    integer will do, a bool will not) raises ValueError."""
+    for token_id in seq:
+        integral = type(token_id) is int or isinstance(token_id, np.integer)
+        if not (integral and 0 <= token_id < VOCAB_SIZE):
+            raise ValueError(f"token ids must be integers in 0..{VOCAB_SIZE - 1}, got {token_id!r}")
     payload = np.asarray(seq, dtype="<u2")
-    if payload.ndim != 1 or (len(seq) and int(payload.max()) >= VOCAB_SIZE):
-        raise ValueError("token ids must be a flat list of ids below 336")
     return TOKEN_FILE_MAGIC + struct.pack("<Q", len(seq)) + payload.tobytes()
 
 
@@ -439,15 +444,11 @@ def read_corpus(path) -> list[list[int]]:
 
 def tokens_to_text(seq: list[int]) -> str:
     """One token name per line, e.g. ``chord<C:maj>``."""
-    from .vocab import build_vocab
-
     vocab = build_vocab()
     return "\n".join(vocab.render(i) for i in seq) + ("\n" if seq else "")
 
 
 def text_to_tokens(text: str) -> list[int]:
-    from .vocab import build_vocab
-
     vocab = build_vocab()
     out = []
     for lineno, line in enumerate(text.splitlines(), 1):

@@ -18,6 +18,7 @@ skeleton, any control satisfied by the prompt is satisfied by the music.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
@@ -648,8 +649,9 @@ def _close_bar(state: FsmState) -> None:
     state.last_drum = -1
 
 
-def _illegal(state: FsmState, token_id: int) -> Exception:
-    name = build_vocab().render(token_id)
+def _illegal(state: FsmState, token_id) -> Exception:
+    known = isinstance(token_id, (int, np.integer)) and 0 <= token_id < VOCAB_SIZE
+    name = build_vocab().render(token_id) if known else token_id  # else as given
     return ValueError(
         f"illegal transition: token {name} in state {state.describe()} (step {state.step})"
     )
@@ -663,9 +665,14 @@ def update_state(rules: RuleSet, state: FsmState, token: Token | int) -> FsmStat
     controlled mask is a subset of it, so a token drawn from any mask is
     accepted.  Any other token, and every token in the terminal state,
     raises ValueError before anything is written, leaving ``state`` as
-    it was.
+    it was.  An id may be any integer type, a NumPy one included.
     """
-    token_id = token if isinstance(token, int) else build_vocab().id_of(token)
+    if isinstance(token, int):
+        token_id = token
+    elif hasattr(token, "__index__"):  # an integral id of another type, NumPy's say
+        token_id = operator.index(token)
+    else:
+        token_id = build_vocab().id_of(token)
     ph = state.phase
     if (
         token_id < 0

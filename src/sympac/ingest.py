@@ -71,23 +71,20 @@ class DrumHit:
 
 @dataclass(slots=True)
 class AnnotatedSong:
-    """One song in absolute time, as produced by MIR annotation or MIDI import."""
+    """One song in absolute time, as produced by MIR annotation or MIDI import.
+
+    ``notes`` maps a melodic track label (one of ``MELODIC_TRACKS``) to
+    that track's notes, as ``GridBar.tracks`` does per bar; a missing
+    label means no notes.  Parsing and MIDI import give every label.
+    """
 
     source_id: str
     genre: str
     beats: list[BeatEvent]
     chords: list[ChordSpan] = field(default_factory=list)
     sections: list[SectionSpan] = field(default_factory=list)
-    vocal_notes: list[NoteEvent] = field(default_factory=list)
-    inst_notes: dict[str, list[NoteEvent]] = field(default_factory=dict)
+    notes: dict[str, list[NoteEvent]] = field(default_factory=dict)
     drum_hits: list[DrumHit] = field(default_factory=list)
-
-    def all_notes(self) -> dict[str, list[NoteEvent]]:
-        """Notes per melodic track label (vocal plus instruments)."""
-        out = {"vocal": self.vocal_notes}
-        for label in ("piano", "guitar", "bass"):
-            out[label] = self.inst_notes.get(label, [])
-        return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,19 +123,9 @@ def bpm_level_of(bpm: float) -> int:
     return bisect.bisect_right(BPM_EDGES, bpm)
 
 
-def _beats_per_bar(counts: list[int]) -> int:
-    """Meter from the beat-count cycle: the count each downbeat resets
-    from.  Songs too short to complete a bar default to 4/4."""
-    lengths = {counts[i - 1] for i in range(1, len(counts)) if counts[i] == 1}
-    if not lengths:
-        return 4
-    meter = lengths.pop()
-    return meter
-
-
-def _check_beats(beats: list[BeatEvent]) -> None:
-    if not beats:
-        return
+def _check_beats(beats: list[BeatEvent]) -> int:
+    """Check the beat cycle and return the meter: the count each downbeat
+    resets from.  Songs too short to complete a bar default to 4/4."""
     for i, b in enumerate(beats):
         if b.count < 1:
             raise ValidationError(f"beats[{i}]: count must be >= 1, got {b.count}")
@@ -148,10 +135,9 @@ def _check_beats(beats: list[BeatEvent]) -> None:
             )
         if i and b.time <= beats[i - 1].time:
             raise ValidationError(f"beats[{i}]: times must be strictly increasing")
-    counts = [b.count for b in beats]
     bar_lengths = set()
-    for i in range(1, len(counts)):
-        prev, cur = counts[i - 1], counts[i]
+    for i in range(1, len(beats)):
+        prev, cur = beats[i - 1].count, beats[i].count
         if cur == 1:
             bar_lengths.add(prev)
         elif cur != prev + 1:
@@ -162,11 +148,12 @@ def _check_beats(beats: list[BeatEvent]) -> None:
         raise ValidationError(
             f"beat counts mix bar lengths {sorted(bar_lengths)}; the cycle must be 1..3 or 1..4"
         )
-    if bar_lengths and bar_lengths != {3} and bar_lengths != {4}:
-        meter = bar_lengths.pop()
+    meter = bar_lengths.pop() if bar_lengths else 4
+    if meter not in (3, 4):
         raise ValidationError(
             f"beat counts imply {meter} beats per bar; only 3/4 and 4/4 are supported"
         )
+    return meter
 
 
 def _check_spans(spans, what: str) -> None:
@@ -177,19 +164,12 @@ def _check_spans(spans, what: str) -> None:
             raise ValidationError(f"{what}[{i}]: overlaps {what}[{i - 1}]")
 
 
-def _check_notes(notes: list[NoteEvent], what: str) -> None:
-    for i, n in enumerate(notes):
-        if n.offset <= n.onset:
-            raise ValidationError(f"{what}[{i}]: offset <= onset")
-        if not 0 <= n.pitch <= 127:
-            raise ValidationError(f"{what}[{i}]: pitch {n.pitch} outside 0..127")
-
-
-def validate_song(song: AnnotatedSong) -> None:
-    """Raise ValidationError naming the first element that breaks an invariant."""
+def validate_song(song: AnnotatedSong) -> int:
+    """Raise ValidationError naming the first element that breaks an
+    invariant; return the song's meter (beats per bar)."""
     if song.genre not in GENRES:
         raise ValidationError(f"genre: unknown label {song.genre!r}")
-    _check_beats(song.beats)
+    meter = _check_beats(song.beats)
     _check_spans(song.chords, "chords")
     for i, c in enumerate(song.chords):
         if c.symbol not in INGEST_CHORDS:
@@ -198,16 +178,20 @@ def validate_song(song: AnnotatedSong) -> None:
     for i, s in enumerate(song.sections):
         if s.label not in SECTIONS:
             raise ValidationError(f"sections[{i}]: unknown label {s.label!r}")
-    _check_notes(song.vocal_notes, "vocal")
-    for label, notes in song.inst_notes.items():
-        if label not in ("piano", "guitar", "bass"):
-            raise ValidationError(f"inst_notes: unknown track {label!r}")
-        _check_notes(notes, label)
+    for label, notes in song.notes.items():
+        if label not in MELODIC_TRACKS:
+            raise ValidationError(f"notes: unknown track {label!r}")
+        for i, n in enumerate(notes):
+            if n.offset <= n.onset:
+                raise ValidationError(f"{label}[{i}]: offset <= onset")
+            if not 0 <= n.pitch <= 127:
+                raise ValidationError(f"{label}[{i}]: pitch {n.pitch} outside 0..127")
     for i, d in enumerate(song.drum_hits):
         if not DRUM_KEY_MIN <= d.key <= DRUM_KEY_MAX:
             raise ValidationError(
                 f"drums[{i}]: key {d.key} outside {DRUM_KEY_MIN}..{DRUM_KEY_MAX}"
             )
+    return meter
 
 
 def _field(doc: dict, key: str, default):
@@ -277,8 +261,7 @@ def parse_annotations(data: bytes | str) -> AnnotatedSong:
         beats=beats,
         chords=chords,
         sections=sections,
-        vocal_notes=notes_of("vocal"),
-        inst_notes={k: notes_of(k) for k in ("piano", "guitar", "bass")},
+        notes={label: notes_of(label) for label in MELODIC_TRACKS},
         drum_hits=[DrumHit(*row) for row in _parse_rows(doc, "drums", (float, int))],
     )
     validate_song(song)
@@ -293,13 +276,10 @@ def serialize_annotations(song: AnnotatedSong) -> str:
         "beats": [[b.time, b.count] for b in song.beats],
         "chords": [[c.start, c.end, c.symbol] for c in song.chords],
         "sections": [[s.start, s.end, s.label] for s in song.sections],
-        "vocal": [[n.onset, n.offset, n.pitch] for n in song.vocal_notes],
         "drums": [[d.onset, d.key] for d in song.drum_hits],
     }
-    for label in ("piano", "guitar", "bass"):
-        doc[label] = [
-            [n.onset, n.offset, n.pitch] for n in song.inst_notes.get(label, [])
-        ]
+    for label in MELODIC_TRACKS:
+        doc[label] = [[n.onset, n.offset, n.pitch] for n in song.notes.get(label, [])]
     return json.dumps(doc, sort_keys=True)
 
 
@@ -338,7 +318,7 @@ def quantize_to_grid(song: AnnotatedSong) -> GridSong:
     using the last observed beat interval.  Events before the first
     downbeat fall outside every bar and are dropped.
     """
-    validate_song(song)
+    meter = validate_song(song)
     beats = song.beats
     if len(beats) < 2:
         raise ValidationError("cannot infer tempo from fewer than 2 beats")
@@ -346,7 +326,6 @@ def quantize_to_grid(song: AnnotatedSong) -> GridSong:
     if not downbeat_times:
         raise ValidationError("song has no downbeat")
 
-    meter = _beats_per_bar([b.count for b in beats])
     beat_times = [b.time for b in beats]
     last_interval = beat_times[-1] - beat_times[-2]
 
@@ -358,7 +337,7 @@ def quantize_to_grid(song: AnnotatedSong) -> GridSong:
     ]
     last_down = downbeat_times[-1]
     onsets = (
-        [n.onset for notes in song.all_notes().values() for n in notes]
+        [n.onset for notes in song.notes.values() for n in notes]
         + [d.onset for d in song.drum_hits]
     )
     has_tail = beat_times[-1] > last_down or any(t >= last_down for t in onsets)
@@ -367,8 +346,8 @@ def quantize_to_grid(song: AnnotatedSong) -> GridSong:
 
     bars = []
     starts = [s for s, _ in spans]
-    for start, end in spans:
-        step_dur = (end - start) / N_STEPS
+    step_durs = [(end - start) / N_STEPS for start, end in spans]
+    for (start, end), step_dur in zip(spans, step_durs):
         if not 0.0 < step_dur < math.inf:
             raise ValidationError(
                 f"bar at {start} s: length {end - start} s does not split into {N_STEPS} steps"
@@ -408,16 +387,14 @@ def quantize_to_grid(song: AnnotatedSong) -> GridSong:
             return None
         return i
 
-    for label, notes in song.all_notes().items():
+    for label in MELODIC_TRACKS:
         per_bar: dict[int, dict[tuple[int, int], int]] = {}
-        for note in notes:
+        for note in song.notes.get(label, ()):
             i = bar_index_of(note.onset)
             if i is None:
                 continue
-            start, end = spans[i]
-            step_dur = (end - start) / N_STEPS
-            step = _nearest_step(note.onset, start, step_dur)
-            dur = _round_duration(note.offset - note.onset, step_dur)
+            step = _nearest_step(note.onset, starts[i], step_durs[i])
+            dur = _round_duration(note.offset - note.onset, step_durs[i])
             key = (step, note.pitch)
             slot = per_bar.setdefault(i, {})
             # Colliding (step, pitch) notes merge; the longest survives.
@@ -432,13 +409,10 @@ def quantize_to_grid(song: AnnotatedSong) -> GridSong:
     drum_sets: dict[int, set[tuple[int, int]]] = {}
     for hit in song.drum_hits:
         i = bar_index_of(hit.onset)
-        if i is None:
-            continue
-        start, end = spans[i]
-        step_dur = (end - start) / N_STEPS
-        drum_sets.setdefault(i, set()).add(
-            (_nearest_step(hit.onset, start, step_dur), hit.key)
-        )
+        if i is not None:
+            drum_sets.setdefault(i, set()).add(
+                (_nearest_step(hit.onset, starts[i], step_durs[i]), hit.key)
+            )
     for i, hits in drum_sets.items():
         bars[i].drums = sorted(hits)
 
@@ -497,6 +471,8 @@ def render_annotations(song: GridSong, bpm: float) -> AnnotatedSong:
                 )
         for step, key in bar.drums:
             drum_hits.append(DrumHit(t(base + step), key))
+    for track in notes.values():
+        track.sort(key=lambda n: (n.onset, n.pitch))
 
     return AnnotatedSong(
         source_id=song.source_id,
@@ -504,10 +480,6 @@ def render_annotations(song: GridSong, bpm: float) -> AnnotatedSong:
         beats=beats,
         chords=chords,
         sections=sections,
-        vocal_notes=sorted(notes["vocal"], key=lambda n: (n.onset, n.pitch)),
-        inst_notes={
-            k: sorted(notes[k], key=lambda n: (n.onset, n.pitch))
-            for k in ("piano", "guitar", "bass")
-        },
+        notes=notes,
         drum_hits=sorted(drum_hits, key=lambda d: (d.onset, d.key)),
     )

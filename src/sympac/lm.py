@@ -6,12 +6,18 @@ training sequence independently (no windows span sequence boundaries)
 and smooths by absolute discounting with interpolation down to the
 unigram level and finally a uniform floor, so every conditional
 distribution sums to one and assigns positive mass everywhere.
+
+The counts are one table, context -> {next id: count}, for contexts of
+every length below the order; training, ``add_sequence`` and loading all
+fill it from (context, id, count) triples.  A model file holds the
+triples in strictly increasing (len(context), context, id) order.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Protocol, Sequence
+from collections import Counter
+from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -22,6 +28,8 @@ MODEL_MAGIC = b"SYMLM001"
 DEFAULT_ORDER = 5
 DEFAULT_DISCOUNT = 0.5
 MAX_ORDER = 8
+
+_Triple = tuple[tuple[int, ...], int, int]  # (context, next id, count)
 
 
 class NextTokenModel(Protocol):
@@ -58,23 +66,23 @@ class NgramModel:
         self.order = order
         self.discount = discount
         self.context_limit = order - 1
-        # counts[k]: contexts of length k -> {next id: count}
-        self._counts: list[dict[tuple[int, ...], dict[int, int]]] = [
-            {} for _ in range(order)
-        ]
+        # context of any length 0..order-1 -> {next id: count}
+        self._counts: dict[tuple[int, ...], dict[int, int]] = {}
         # longest seen context suffix -> read-only log-probabilities
         self._scores: dict[tuple[int, ...], np.ndarray] = {}
 
-    def add_sequence(self, seq: Sequence[int]) -> None:
+    def _add(self, triples: Iterable[_Triple]) -> None:
+        """Add (context, id, count) triples to the counts: the one writer."""
         self._scores.clear()
-        seq = list(seq)
-        for k in range(self.order):
-            level = self._counts[k]
-            for i in range(k, len(seq)):
-                ctx = tuple(seq[i - k : i])
-                nxt = seq[i]
-                slot = level.setdefault(ctx, {})
-                slot[nxt] = slot.get(nxt, 0) + 1
+        counts = self._counts
+        for ctx, nxt, count in triples:
+            slot = counts.get(ctx)
+            if slot is None:
+                slot = counts[ctx] = {}
+            slot[nxt] = slot.get(nxt, 0) + count
+
+    def add_sequence(self, seq: Sequence[int]) -> None:
+        self._add(_count_windows([list(seq)], self.order))
 
     def _longest_seen(self, context: Sequence[int]) -> tuple[int, ...]:
         """The longest suffix of the usable context that the counts hold.
@@ -84,14 +92,14 @@ class NgramModel:
         ctx = tuple(context[-self.context_limit :]) if self.context_limit else ()
         for start in range(len(ctx)):
             key = ctx[start:]
-            if key in self._counts[len(key)]:
+            if key in self._counts:
                 return key
         return ()
 
     def _interpolate(self, key: tuple[int, ...]) -> np.ndarray:
         p = np.full(VOCAB_SIZE, 1.0 / VOCAB_SIZE)
         for k in range(len(key) + 1):
-            slot = self._counts[k].get(key[len(key) - k :])
+            slot = self._counts.get(key[len(key) - k :])
             if slot is None:
                 break
             total = sum(slot.values())
@@ -115,13 +123,23 @@ class NgramModel:
             self._scores[key] = scores
         return scores
 
-    def iter_counts(self) -> Iterable[tuple[tuple[int, ...], int, int]]:
-        """All (context, id, count) triples in deterministic order."""
-        for level in self._counts:
-            for ctx in sorted(level):
-                slot = level[ctx]
-                for nxt in sorted(slot):
-                    yield ctx, nxt, slot[nxt]
+    def iter_counts(self) -> Iterator[_Triple]:
+        """All (context, id, count) triples in (len(context), context, id) order."""
+        for ctx in sorted(self._counts, key=lambda c: (len(c), c)):
+            slot = self._counts[ctx]
+            for nxt in sorted(slot):
+                yield ctx, nxt, slot[nxt]
+
+
+def _count_windows(seqs: list[Sequence[int]], order: int) -> Iterator[_Triple]:
+    """(context, id, count) for every window of 1..order ids in ``seqs``,
+    each window length counted in one pass over the corpus."""
+    for k in range(1, order + 1):
+        windows: Counter = Counter()
+        for seq in seqs:
+            windows.update(zip(*(seq[j:] for j in range(k))))
+        for window, count in windows.items():
+            yield window[:-1], window[-1], count
 
 
 def train_ngram(
@@ -131,57 +149,58 @@ def train_ngram(
 ) -> NgramModel:
     """Count all length-<=order windows of every sequence and smooth."""
     model = NgramModel(order, discount)
-    n = 0
-    for seq in corpus:
-        model.add_sequence(seq)
-        n += 1
-    if n == 0:
+    seqs = list(corpus)
+    if not seqs:
         raise ValueError("training corpus is empty")
+    model._add(_count_windows(seqs, order))
     return model
 
 
 def save_model(model: NgramModel) -> bytes:
     triples = list(model.iter_counts())
-    out = bytearray()
-    out += MODEL_MAGIC
-    out += struct.pack("<Id", model.order, model.discount)
-    out += struct.pack("<Q", len(triples))
+    out = bytearray(MODEL_MAGIC + struct.pack("<IdQ", model.order, model.discount, len(triples)))
     for ctx, nxt, count in triples:
-        out += struct.pack("<B", len(ctx))
-        out += struct.pack(f"<{len(ctx)}H", *ctx) if ctx else b""
-        out += struct.pack("<HQ", nxt, count)
+        out += struct.pack(f"<B{len(ctx)}HHQ", len(ctx), *ctx, nxt, count)
     return bytes(out)
 
 
+def _read_counts(data: bytes, model: NgramModel) -> Iterator[_Triple]:
+    """The triples of a model file in file order, each checked as read.
+    They are being added to ``model``, so a context's suffix, which sorts
+    before it, is in the counts by the time the context is read."""
+    (n_triples,) = struct.unpack_from("<Q", data, 20)
+    offset, last = 28, None
+    for _ in range(n_triples):
+        start = offset
+        *ctx, nxt, count = struct.unpack_from(f"<{data[offset]}HHQ", data, offset + 1)
+        ctx = tuple(ctx)
+        offset += 11 + 2 * len(ctx)
+        if len(ctx) >= model.order or max((nxt, *ctx)) >= VOCAB_SIZE or count < 1:
+            raise ModelFormatError(f"corrupt count entry at byte {start}")
+        if last is not None and (len(ctx), ctx, nxt) <= last:
+            raise ModelFormatError(f"count entry out of order at byte {start}")
+        if ctx and ctx[1:] not in model._counts:
+            raise ModelFormatError(f"context without its suffix at byte {start}")
+        last = (len(ctx), ctx, nxt)
+        yield ctx, nxt, count
+    if offset != len(data):
+        raise ModelFormatError(f"trailing bytes after model data (byte {offset})")
+
+
 def load_model(data: bytes) -> NgramModel:
+    """The model ``save_model`` wrote as ``data``.  Any stream it cannot
+    write raises ModelFormatError naming the byte, triples out of strictly
+    increasing (len(context), context, id) order and a context whose
+    one-shorter suffix is missing included."""
     if data[:8] != MODEL_MAGIC:
         raise ModelFormatError("bad magic; not a model file")
     try:
-        order, discount = struct.unpack_from("<Id", data, 8)
-        (n_triples,) = struct.unpack_from("<Q", data, 20)
-        offset = 28
-        model = NgramModel(order, discount)
-        for _ in range(n_triples):
-            (ctx_len,) = struct.unpack_from("<B", data, offset)
-            offset += 1
-            ctx = struct.unpack_from(f"<{ctx_len}H", data, offset) if ctx_len else ()
-            offset += 2 * ctx_len
-            nxt, count = struct.unpack_from("<HQ", data, offset)
-            offset += 10
-            if (
-                ctx_len >= order
-                or nxt >= VOCAB_SIZE
-                or (ctx and max(ctx) >= VOCAB_SIZE)
-                or count < 1
-            ):
-                raise ModelFormatError(f"corrupt count entry at byte {offset}")
-            model._counts[ctx_len].setdefault(tuple(ctx), {})[nxt] = count
-    except struct.error as exc:
+        model = NgramModel(*struct.unpack_from("<Id", data, 8))
+        model._add(_read_counts(data, model))
+    except (struct.error, IndexError) as exc:
         raise ModelFormatError(f"truncated model stream: {exc}") from None
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
-    if offset != len(data):
-        raise ModelFormatError(f"trailing bytes after model data (byte {offset})")
     return model
 
 

@@ -20,16 +20,16 @@ from collections import deque
 
 from .errors import EmptySongError, ParseError, UnsupportedFormatError, ValidationError
 from .ingest import AnnotatedSong, BeatEvent, DrumHit, GridSong, NoteEvent
-from .vocab import DRUM_KEY_MAX, DRUM_KEY_MIN
+from .vocab import DRUM_KEY_MAX, DRUM_KEY_MIN, MELODIC_TRACKS
 
 _DEFAULT_TEMPO = 500000  # microseconds per quarter note
 _TPQ = 480
 _STEP_TICKS = _TPQ // 4
 
-_PIANO_RANGE = range(0, 8)
-_GUITAR_RANGE = range(24, 32)
-_BASS_RANGE = range(32, 40)
-_EXPORT_PROGRAMS = {"vocal": 52, "piano": 0, "guitar": 24, "bass": 32}
+# The General MIDI programs import routes to each instrument track; export
+# writes each range's first program, and 52 (choir aahs) for vocal.
+_PROGRAM_RANGES = {"piano": range(0, 8), "guitar": range(24, 32), "bass": range(32, 40)}
+_EXPORT_PROGRAMS = {"vocal": 52} | {label: r.start for label, r in _PROGRAM_RANGES.items()}
 _DRUM_CHANNEL = 9
 _MELODIC_CHANNELS = tuple(c for c in range(16) if c != _DRUM_CHANNEL)
 # Import builds one beat per quarter note up to the last event, so the
@@ -250,26 +250,22 @@ def import_smf(data: bytes, source_id: str = "", genre: str = "Pop") -> Annotate
         for k in range(n_bars * meter + 1)
     ]
 
-    streams: dict[str, list[NoteEvent]] = {"piano": [], "guitar": [], "bass": []}
+    streams: dict[str, list[NoteEvent]] = {label: [] for label in MELODIC_TRACKS}
     other: dict[tuple[int, int], list[NoteEvent]] = {}
     for trk, channel, on_tick, off_tick, pitch, program in raw_notes:
         note = NoteEvent(tempo_map.seconds(on_tick), tempo_map.seconds(off_tick), pitch)
-        if program in _PIANO_RANGE:
-            streams["piano"].append(note)
-        elif program in _GUITAR_RANGE:
-            streams["guitar"].append(note)
-        elif program in _BASS_RANGE:
-            streams["bass"].append(note)
-        else:
+        label = next((t for t, programs in _PROGRAM_RANGES.items() if program in programs), None)
+        if label is None:
             other.setdefault((trk, channel), []).append(note)
+        else:
+            streams[label].append(note)
 
-    vocal: list[NoteEvent] = []
     for stream in other.values():
         trimmed = _monophonic_after_trim(stream)
         if trimmed is None:
             streams["piano"].extend(stream)
         else:
-            vocal.extend(trimmed)
+            streams["vocal"].extend(trimmed)
 
     drum_hits = [
         DrumHit(tempo_map.seconds(tick), key)
@@ -281,9 +277,8 @@ def import_smf(data: bytes, source_id: str = "", genre: str = "Pop") -> Annotate
         source_id=source_id,
         genre=genre,
         beats=beats,
-        vocal_notes=sorted(vocal, key=lambda n: (n.onset, n.pitch)),
-        inst_notes={
-            k: sorted(v, key=lambda n: (n.onset, n.pitch)) for k, v in streams.items()
+        notes={
+            label: sorted(v, key=lambda n: (n.onset, n.pitch)) for label, v in streams.items()
         },
         drum_hits=sorted(drum_hits, key=lambda d: (d.onset, d.key)),
     )
@@ -369,7 +364,7 @@ def export_smf(song: GridSong, base_bpm: float) -> bytes:
     ]
 
     notes_by_inst: dict[str, list[tuple[int, int, int]]] = {}
-    for inst in ("vocal", "piano", "guitar", "bass"):
+    for inst in MELODIC_TRACKS:
         notes = []
         for bar_idx, bar in enumerate(song.bars):
             for note in bar.tracks.get(inst, []):
@@ -383,8 +378,7 @@ def export_smf(song: GridSong, base_bpm: float) -> bytes:
         events_by_inst: dict[str, list[tuple[int, int, bytes]]] = {}
         # Range-programmed instruments claim channels first; the vocal
         # track spreads over whatever remains when it needs exclusivity.
-        order = ("piano", "guitar", "bass", "vocal")
-        for inst in order:
+        for inst in ("piano", "guitar", "bass", "vocal"):
             if inst not in notes_by_inst:
                 continue
             exclusive = vocal_exclusive and inst == "vocal"
@@ -416,7 +410,7 @@ def export_smf(song: GridSong, base_bpm: float) -> bytes:
             drum_events.append((on + _STEP_TICKS, 0, bytes([0x80 | _DRUM_CHANNEL, key, 0])))
 
     chunks = [_track_chunk(meta_events)]
-    for inst in ("vocal", "piano", "guitar", "bass"):
+    for inst in MELODIC_TRACKS:
         if inst in inst_events:
             chunks.append(_track_chunk(inst_events[inst]))
     if drum_events:

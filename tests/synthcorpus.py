@@ -211,8 +211,8 @@ def random_annotated_song(
         beats=beats,
         chords=chords,
         sections=sections,
-        vocal_notes=notes(int(rng.integers(0, 8))),
-        inst_notes={
+        notes={
+            "vocal": notes(int(rng.integers(0, 8))),
             "piano": notes(int(rng.integers(0, 8))),
             "guitar": notes(int(rng.integers(0, 5))),
             "bass": notes(int(rng.integers(0, 5))),

@@ -267,6 +267,23 @@ def test_config_file_supplies_defaults(trained):
     assert manifest["run"]["n_samples"] == 2
 
 
+@pytest.mark.parametrize("command", ["ingest", "train", "generate", "evaluate", "validate"])
+def test_a_config_key_no_command_reads_exits_one_and_writes_nothing(trained, capsys, command):
+    (trained / "typo.json").write_text(json.dumps({"temprature": 0.01, "n_sample": 3, "seed": 4}))
+    argv = {
+        "ingest": ["ingest", str(trained), "--out", str(trained / "out" / "c.bin")],
+        "train": ["train", "--corpus", str(trained / "corpus.bin"), "--out", str(trained / "out")],
+        "generate": ["generate", "--model", str(trained / "model.bin"), "--out-dir", str(trained / "out")],
+        "evaluate": ["evaluate", "--generated", str(trained), "--out-dir", str(trained / "out")],
+        "validate": ["validate", str(trained / "corpus.bin")],
+    }[command]
+    capsys.readouterr()
+    assert main(["--config", str(trained / "typo.json"), *argv]) == 1
+    err = capsys.readouterr().err
+    assert "'n_sample', 'temprature'" in err and "'seed'" not in err
+    assert not (trained / "out").exists()
+
+
 def test_validate_command(trained, capsys):
     main([
         "generate", "--model", str(trained / "model.bin"),

@@ -193,6 +193,20 @@ def test_token_bytes_round_trip():
     assert tokens_from_bytes(tokens_to_bytes(seq)) == seq
 
 
+@pytest.mark.parametrize(
+    "bad", [1.7, "3", True, np.bool_(True), -1, 336, np.int64(-1), np.uint16(400), [1]]
+)
+def test_token_bytes_reject_an_id_that_is_not_an_integer_in_the_vocabulary(bad):
+    with pytest.raises(ValueError, match="token ids must be integers in 0..335"):
+        tokens_to_bytes([0, bad])
+
+
+def test_token_bytes_take_numpy_integers():
+    ids = np.array([0, 18, 335])
+    assert tokens_to_bytes(ids) == tokens_to_bytes([np.int16(0), 18, np.uint64(335)])
+    assert tokens_from_bytes(tokens_to_bytes(ids)) == [0, 18, 335]
+
+
 def test_token_bytes_magic_and_truncation():
     blob = tokens_to_bytes([0, 1, 2])
     with pytest.raises(ParseError, match="magic"):

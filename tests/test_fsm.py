@@ -650,7 +650,69 @@ def test_replace_derives_the_lowered_control_afresh():
     assert "genre=Rock" in rock.describe
 
 
-@pytest.mark.parametrize("token_id", [fsm.VOCAB_SIZE, fsm.VOCAB_SIZE + 100])
+@pytest.mark.parametrize("token_id", [-1, fsm.VOCAB_SIZE, fsm.VOCAB_SIZE + 100, np.int64(400)])
 def test_replay_rejects_an_id_outside_the_vocabulary(token_id):
-    with pytest.raises(ValueError):
+    # The report names the id, the state and the step, as for any illegal token.
+    message = rf"^illegal transition: token {int(token_id)} in state ExpectBarHeader\(genre\) .*\(step 1\)$"
+    with pytest.raises(ValueError, match=message):
         replay(RULES, [BAR_ID, token_id])
+    state = advance(HEADER)
+    assert_rejected_in_place(state, token_id)
+    with pytest.raises(ValueError, match=rf"token {int(token_id)} in state .*\(step 4\)$"):
+        update_state(RULES, state, token_id)
+
+
+def test_update_state_takes_the_numpy_ids_legal_ids_returns():
+    state = initial_state()
+    tokens = [BAR_ID]
+    while not state.terminal and len(tokens) < 300:
+        ids = legal_ids(RULES, state)
+        token = ids[len(tokens) % len(ids)]  # a NumPy integer
+        assert not isinstance(token, int)
+        state = update_state(RULES, state, token)
+        tokens.append(token)
+    assert state.terminal and state.step == len(tokens)
+    as_ints = replay(RULES, [int(t) for t in tokens])
+    for name in fsm.FsmState.__slots__:
+        assert getattr(replay(RULES, tokens), name) == getattr(as_ints, name), name
+
+
+def _valid_streams():
+    """Short valid streams: encoded random songs and uniform walks of 1–3 bars."""
+    rng = np.random.default_rng(29)
+    streams = [encode_song(random_grid_song(rng, max_bars=3)) for _ in range(10)]
+    for n_bars in (1, 2, 3) * 4:
+        seq, done = uniform_walk(rng, ControlSpec(n_bars=n_bars))
+        assert done
+        streams.append(seq)
+    return streams
+
+
+VALID_STREAMS = _valid_streams()
+
+
+def _replays_to_the_end(seq):
+    try:
+        return replay(RULES, seq).terminal
+    except ValueError:
+        return False
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_the_two_grammars_agree_on_single_token_mutants(data):
+    """`validate` finds nothing exactly when `replay` reaches the terminal
+    state, in both directions, on substitutions, insertions and deletions."""
+    seq = list(data.draw(st.sampled_from(VALID_STREAMS), label="stream"))
+    assert validate(seq) == [] and _replays_to_the_end(seq)
+    kind = data.draw(st.sampled_from(["substitute", "insert", "delete"]), label="kind")
+    at = data.draw(st.integers(0, len(seq) - (kind != "insert")), label="at")
+    # Tokens drawn from the stream itself make valid mutants likelier.
+    token = data.draw(st.integers(0, len(VOCAB) - 1) | st.sampled_from(seq), label="token")
+    if kind == "substitute":
+        seq[at] = token
+    elif kind == "insert":
+        seq.insert(at, token)
+    else:
+        del seq[at]
+    assert (validate(seq) == []) == _replays_to_the_end(seq)

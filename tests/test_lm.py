@@ -155,12 +155,13 @@ def test_load_rejects_corruption():
 
 def test_load_rejects_context_id_outside_vocabulary():
     header = save_model(train_ngram([[1, 2, 3]], order=2))[:20]
+    suffix = struct.pack("<BHQ", 0, 5, 1)  # context () -> 5, count 1
     entry = struct.pack("<BHHQ", 1, VOCAB_SIZE - 1, 5, 1)  # context (335,) -> 5, count 1
-    good = load_model(header + struct.pack("<Q", 1) + entry)
-    assert list(good.iter_counts()) == [((VOCAB_SIZE - 1,), 5, 1)]
+    good = load_model(header + struct.pack("<Q", 2) + suffix + entry)
+    assert list(good.iter_counts()) == [((), 5, 1), ((VOCAB_SIZE - 1,), 5, 1)]
     bad = struct.pack("<BHHQ", 1, 400, 5, 1)
     with pytest.raises(ModelFormatError, match="corrupt count entry"):
-        load_model(header + struct.pack("<Q", 1) + bad)
+        load_model(header + struct.pack("<Q", 2) + suffix + bad)
 
 
 @settings(max_examples=200, deadline=None)
@@ -270,3 +271,75 @@ def test_score_follows_add_sequence():
     assert not np.array_equal(before, after)
     assert np.array_equal(after, np.log(model.probabilities([4])))
     assert after[6] > before[6]
+
+
+def model_file(order, discount, triples):
+    """A model file of (context, id, count) triples, laid out by hand."""
+    out = b"SYMLM001" + struct.pack("<IdQ", order, discount, len(triples))
+    for ctx, nxt, count in triples:
+        out += struct.pack(f"<B{len(ctx)}HHQ", len(ctx), *ctx, nxt, count)
+    return out
+
+
+def reference_model_bytes(corpus, order, discount=0.5):
+    """The file of a model counted window by window into one dict per
+    context length, independent of `NgramModel`'s tables."""
+    levels = [{} for _ in range(order)]
+    for seq in corpus:
+        for k in range(order):
+            for i in range(k, len(seq)):
+                slot = levels[k].setdefault(tuple(seq[i - k : i]), {})
+                slot[seq[i]] = slot.get(seq[i], 0) + 1
+    triples = [
+        (ctx, nxt, level[ctx][nxt]) for level in levels for ctx in sorted(level)
+        for nxt in sorted(level[ctx])
+    ]
+    return model_file(order, discount, triples)
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_model_bytes_match_the_reference_counter_on_the_golden_corpus(order):
+    from sympac.encoding import encode_song
+    from synthcorpus import chord_corpus
+
+    corpus = [encode_song(s) for s in chord_corpus(np.random.default_rng(0), 20)]
+    blob = save_model(train_ngram(corpus, order=order))
+    assert blob == reference_model_bytes(corpus, order)
+    assert save_model(load_model(blob)) == blob
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    corpus=st.lists(
+        st.lists(st.integers(0, 5) | st.integers(0, VOCAB_SIZE - 1), max_size=12),
+        min_size=1,
+        max_size=5,
+    ),
+    order=st.integers(1, 8),
+)
+def test_model_bytes_match_the_reference_counter(corpus, order):
+    # Sequences shorter than the order, empty ones included, count only
+    # the windows that fit.
+    blob = save_model(train_ngram(corpus, order=order))
+    assert blob == reference_model_bytes(corpus, order)
+    one_by_one = NgramModel(order)
+    for seq in corpus:
+        one_by_one.add_sequence(seq)
+    assert save_model(one_by_one) == blob
+    assert save_model(load_model(blob)) == blob
+
+
+def test_load_rejects_triples_save_model_cannot_write():
+    triples = [((), 3, 2), ((), 7, 1), ((3,), 7, 1)]  # bytes 28, 39, 50; 63 is the end
+    assert save_model(load_model(model_file(3, 0.5, triples))) == model_file(3, 0.5, triples)
+    cases = {
+        "a repeated triple": (triples + triples[2:], "out of order at byte 63"),
+        "two ids out of order": ([triples[1], triples[0], triples[2]], "out of order at byte 39"),
+        "a shorter context after a longer": ([triples[0], triples[2], triples[1]], "out of order at byte 52"),
+        "a context without its suffix": (triples + [((4, 9), 7, 1)], "without its suffix at byte 63"),
+        "no empty context": ([((3,), 7, 1)], "without its suffix at byte 28"),
+    }
+    for name, (bad, message) in cases.items():
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(model_file(3, 0.5, bad))
+            pytest.fail(name)

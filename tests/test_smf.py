@@ -100,7 +100,7 @@ def test_import_single_note():
     song = import_smf(_single_note_smf())
     assert [round(b.time, 6) for b in song.beats[:3]] == [0.0, 0.5, 1.0]
     assert song.beats[0].count == 1
-    notes = song.inst_notes["piano"]  # default program 0
+    notes = song.notes["piano"]  # default program 0
     assert len(notes) == 1
     assert notes[0].pitch == 60
     assert notes[0].onset == pytest.approx(0.0)
@@ -116,7 +116,7 @@ def test_import_respects_tempo_map():
         ]
     )
     song = import_smf(_header(0, 1) + _track(events))
-    assert song.inst_notes["piano"][0].offset == pytest.approx(1.0)
+    assert song.notes["piano"][0].offset == pytest.approx(1.0)
 
 
 def test_import_channel_10_is_drums():
@@ -127,8 +127,8 @@ def test_import_channel_10_is_drums():
         ]
     )
     song = import_smf(_header(0, 1) + _track(events))
-    assert not any(song.inst_notes.values())
-    assert not song.vocal_notes
+    assert not any(song.notes.values())
+    assert not song.notes["vocal"]
     assert [d.key for d in song.drum_hits] == [38]
 
 
@@ -169,7 +169,7 @@ def test_import_running_status():
         ]
     )
     song = import_smf(_header(0, 1) + _track(events))
-    assert [n.pitch for n in song.inst_notes["piano"]] == [60, 64]
+    assert [n.pitch for n in song.notes["piano"]] == [60, 64]
 
 
 def test_import_program_ranges():
@@ -189,10 +189,10 @@ def test_import_program_ranges():
         + channel_events(3, 52, 70)  # other, monophonic -> vocal
     )
     song = import_smf(_header(0, 1) + _track(events))
-    assert [n.pitch for n in song.inst_notes["piano"]] == [60]
-    assert [n.pitch for n in song.inst_notes["guitar"]] == [50]
-    assert [n.pitch for n in song.inst_notes["bass"]] == [40]
-    assert [n.pitch for n in song.vocal_notes] == [70]
+    assert [n.pitch for n in song.notes["piano"]] == [60]
+    assert [n.pitch for n in song.notes["guitar"]] == [50]
+    assert [n.pitch for n in song.notes["bass"]] == [40]
+    assert [n.pitch for n in song.notes["vocal"]] == [70]
 
 
 def test_import_polyphonic_other_program_goes_to_piano():
@@ -206,8 +206,8 @@ def test_import_polyphonic_other_program_goes_to_piano():
         ]
     )
     song = import_smf(_header(0, 1) + _track(events))
-    assert not song.vocal_notes
-    assert sorted(n.pitch for n in song.inst_notes["piano"]) == [70, 74]
+    assert not song.notes["vocal"]
+    assert sorted(n.pitch for n in song.notes["piano"]) == [70, 74]
 
 
 def test_import_monophonic_overlap_is_trimmed():
@@ -221,8 +221,8 @@ def test_import_monophonic_overlap_is_trimmed():
         ]
     )
     song = import_smf(_header(0, 1) + _track(events))
-    assert [n.pitch for n in song.vocal_notes] == [70, 72]
-    assert song.vocal_notes[0].offset == pytest.approx(song.vocal_notes[1].onset)
+    assert [n.pitch for n in song.notes["vocal"]] == [70, 72]
+    assert song.notes["vocal"][0].offset == pytest.approx(song.notes["vocal"][1].onset)
 
 
 def test_import_format_1_multi_track():
@@ -231,7 +231,7 @@ def test_import_format_1_multi_track():
         b"\x00" + bytes([0x90, 60, 100]) + _var(480) + bytes([0x80, 60, 0])
     )
     song = import_smf(_header(1, 2) + tempo_track + note_track)
-    assert [n.pitch for n in song.inst_notes["piano"]] == [60]
+    assert [n.pitch for n in song.notes["piano"]] == [60]
 
 
 def test_export_single_note_round_trip():
