@@ -10,11 +10,12 @@ for silent bars or weak matches.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .ingest import GridBar, GridSong
 from .vocab import N_STEPS, NO_CHORD, ROOTS, chord_quality, chord_root_index
 
@@ -24,37 +25,38 @@ _CLASSES = ("maj", "min")
 
 @dataclass(frozen=True)
 class TemplateBank:
-    """L2-normalized 12-d chroma template per chord class, plus a flat N."""
+    """L2-normalized 12-d chroma template per chord class."""
 
     maj: np.ndarray
     min: np.ndarray
-    n: np.ndarray
 
     def template(self, quality: str) -> np.ndarray:
         if quality == "maj":
             return self.maj
         if quality == "min":
             return self.min
-        if quality == NO_CHORD:
-            return self.n
         raise KeyError(quality)
 
     def to_json(self) -> dict:
-        return {
-            "maj": [float(x) for x in self.maj],
-            "min": [float(x) for x in self.min],
-            "N": [float(x) for x in self.n],
-        }
+        return {"maj": [float(x) for x in self.maj], "min": [float(x) for x in self.min]}
 
     @classmethod
     def from_json(cls, doc: dict) -> "TemplateBank":
-        def vec(key: str) -> np.ndarray:
-            values = doc[key]
-            if len(values) != 12:
-                raise ValidationError(f"template {key!r} must have 12 entries")
-            return _unit(np.asarray(values, dtype=float))
+        """The bank a ``to_json`` document holds; keys other than ``maj``
+        and ``min``, such as the ``N`` of older files, are ignored."""
+        if not isinstance(doc, dict):
+            raise ValidationError("template bank must be a JSON object")
 
-        return cls(maj=vec("maj"), min=vec("min"), n=vec("N"))
+        def vec(key: str) -> np.ndarray:
+            values = doc.get(key)
+            if isinstance(values, list) and len(values) == 12:
+                if all(type(x) in (int, float) for x in values):
+                    norm = float(np.linalg.norm(values))
+                    if 0 < norm < math.inf:  # false for a NaN or infinite entry too
+                        return np.asarray(values, dtype=float) / norm
+            raise ValidationError(f"template {key!r} must be 12 finite numbers, not all zero")
+
+        return cls(maj=vec("maj"), min=vec("min"))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -63,14 +65,15 @@ class TemplateBank:
     @classmethod
     def load(cls, path) -> "TemplateBank":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise ParseError(f"template bank {path}: {exc}") from None
+        return cls.from_json(doc)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
-    if norm == 0:
-        raise ValidationError("zero template")
-    return v / norm
+    return v / float(np.linalg.norm(v))
 
 
 def ideal_bank() -> TemplateBank:
@@ -79,7 +82,7 @@ def ideal_bank() -> TemplateBank:
     maj[[0, 4, 7]] = 1.0
     minor = np.zeros(12)
     minor[[0, 3, 7]] = 1.0
-    return TemplateBank(maj=_unit(maj), min=_unit(minor), n=_unit(np.ones(12)))
+    return TemplateBank(maj=_unit(maj), min=_unit(minor))
 
 
 def bar_chroma(bar: GridBar, lo: int = 0, hi: int = N_STEPS) -> np.ndarray:
@@ -119,9 +122,7 @@ def learn_templates(labeled_bars: list[tuple[GridBar, list[str]]]) -> TemplateBa
     missing = [c for c in _CLASSES if not accum[c].any()]
     if missing:
         raise ValidationError(f"no labeled examples for class(es): {', '.join(missing)}")
-    return TemplateBank(
-        maj=_unit(accum["maj"]), min=_unit(accum["min"]), n=_unit(np.ones(12))
-    )
+    return TemplateBank(maj=_unit(accum["maj"]), min=_unit(accum["min"]))
 
 
 # _ROTATIONS[r] indexes a template rotated up r semitones:

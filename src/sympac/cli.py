@@ -26,7 +26,7 @@ from .encoding import (
     encode_song,
     iter_corpus,
     read_corpus,
-    tokens_from_bytes,
+    read_token_file,
     tokens_to_bytes,
     tokens_to_text,
     validate,
@@ -58,7 +58,7 @@ from .structure import (
     song_tempo_bpm,
     structure_scores,
 )
-from .vocab import BPM_BUCKET_MIDPOINTS, GENRES
+from .vocab import GENRES
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -374,7 +374,9 @@ def _cmd_generate(args, config: dict) -> int:
             raise _Usage("--model is required (or --from-manifest)")
         model_path = args.model
         control = _control_from_args(args, config)
-        seed = _cfg(args, config, "seed", _env_seed(), _whole)
+        seed = _cfg(args, config, "seed", None, _whole)
+        if seed is None:
+            seed = _env_seed()
         n_samples = _cfg(args, config, "n_samples", 1, _whole)
         sampler_kwargs = {
             key: _cfg(args, config, key, getattr(SamplerConfig, key), convert)
@@ -415,8 +417,7 @@ def _cmd_generate(args, config: dict) -> int:
             (out_dir / f"sample_{i:04d}.tokens.txt").write_text(tokens_to_text(tokens))
             outputs.append(f"sample_{i:04d}.tokens.txt")
         if write_midi:
-            bpm = BPM_BUCKET_MIDPOINTS[song.bars[0].bpm_level] if song.bars else 120.0
-            (out_dir / f"sample_{i:04d}.mid").write_bytes(export_smf(song, bpm))
+            (out_dir / f"sample_{i:04d}.mid").write_bytes(export_smf(song, song_tempo_bpm(song)))
             outputs.append(f"sample_{i:04d}.mid")
 
     manifest = {
@@ -447,8 +448,7 @@ def _cmd_generate(args, config: dict) -> int:
 # evaluate
 
 def _decode_file(file: str):
-    tokens = tokens_from_bytes(Path(file).read_bytes())
-    return decode_sequence(tokens, source_id=Path(file).stem)
+    return decode_sequence(read_token_file(file), source_id=Path(file).stem)
 
 
 def _cmd_evaluate(args, config: dict) -> int:
@@ -537,18 +537,21 @@ def _cmd_evaluate(args, config: dict) -> int:
 # ---------------------------------------------------------------------------
 # detect-chords / validate
 
-def _iter_token_files(paths: list[str]):
+def _token_files(paths: list[str]) -> list[Path]:
+    """The named files, each directory replaced by its ``*.tokens`` files;
+    finding none is a data error."""
+    out: list[Path] = []
     for raw in paths:
         path = Path(raw)
-        if path.is_dir():
-            yield from sorted(path.glob("*.tokens"))
-        else:
-            yield path
+        out.extend(sorted(path.glob("*.tokens")) if path.is_dir() else [path])
+    if not out:
+        raise FileNotFoundError(f"no token files in {', '.join(paths)}")
+    return out
 
 
 def _cmd_detect_chords(args, config: dict) -> int:
     bank = TemplateBank.load(args.bank) if args.bank else ideal_bank()
-    for path in _iter_token_files(args.inputs):
+    for path in _token_files(args.inputs):
         for i, seq in enumerate(iter_corpus(path)):
             song = decode_sequence(seq, source_id=f"{path.stem}[{i}]")
             symbols = detect_bar_chords(song, bank)
@@ -558,7 +561,7 @@ def _cmd_detect_chords(args, config: dict) -> int:
 
 def _cmd_validate(args, config: dict) -> int:
     failures = 0
-    for path in _iter_token_files(args.inputs):
+    for path in _token_files(args.inputs):
         for i, seq in enumerate(iter_corpus(path)):
             violations = validate(seq)
             if violations:

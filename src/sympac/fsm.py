@@ -123,6 +123,16 @@ def _track_bits(labels) -> int:
     return sum(1 << TRACKS.index(label) for label in labels)
 
 
+def _section_run(label: str, n: int) -> list[str]:
+    """``n`` bars of section ``label``."""
+    if n < 1:
+        raise ControlError(f"bar count must be >= 1 in structure, got {n}")
+    try:
+        return [label] * n
+    except (OverflowError, MemoryError):
+        raise ControlError(f"bar count {n} in structure is too large") from None
+
+
 def parse_chords_arg(text: str) -> tuple[str, ...]:
     """Parse a progression like ``F,C,G,A:min`` into canonical symbols."""
     symbols = tuple(_canonical_chord(part) for part in text.split(",") if part.strip())
@@ -149,9 +159,7 @@ def parse_structure_arg(text: str) -> tuple[str, ...]:
             n = int(count)
         except ValueError:
             raise ControlError(f"bad bar count {count!r} in structure") from None
-        if n < 1:
-            raise ControlError(f"bar count must be >= 1 in structure, got {n}")
-        sections.extend([label] * n)
+        sections += _section_run(label, n)
     if not sections:
         raise ControlError("empty structure")
     return tuple(sections)
@@ -318,6 +326,8 @@ class ControlSpec:
             raise ControlError("control document must be a JSON object")
         sections = None
         if doc.get("structure") is not None:
+            if not isinstance(doc["structure"], list):
+                raise ControlError("structure must be an array")
             sections = []
             for entry in doc["structure"]:
                 if not isinstance(entry, (list, tuple)) or len(entry) != 2:
@@ -327,9 +337,7 @@ class ControlSpec:
                     n = _whole(bars)
                 except ValueError:
                     raise ControlError(f"bad bar count {bars!r} in structure") from None
-                if n < 1:
-                    raise ControlError(f"bar count must be >= 1 in structure, got {n}")
-                sections.extend([label] * n)
+                sections += _section_run(label, n)
 
         def entries(key: str) -> tuple | None:
             value = doc.get(key)

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .ingest import GridBar, GridSong
 from .vocab import NO_CHORD, TRACKS, chord_root
 
-DEFAULT_EPSILON = 1e-6
+EPSILON = 1e-6
 _BEAT_STEPS = (0, 4, 8, 12)
 _UNIFORMITY_BIN = 0.05
 
@@ -223,27 +223,23 @@ def _distribution(
     return MetricDistribution.from_values(metric.name, values)
 
 
-def kld(
-    p: MetricDistribution, q: MetricDistribution, epsilon: float = DEFAULT_EPSILON
-) -> float:
+def kld(p: MetricDistribution, q: MetricDistribution) -> float:
     """D(p || q) over the union support.
 
-    Values missing from q are floored at ``epsilon`` and q renormalized,
-    so the divergence is always finite; identical distributions score
-    exactly zero because no flooring is needed.
+    Values missing from q are floored at ``EPSILON`` (1e-6) and q
+    renormalized, so the divergence is always finite; identical
+    distributions score exactly zero because no flooring is needed.
     """
     if p.metric_name != q.metric_name:
         raise ValueError(f"metric mismatch: {p.metric_name!r} vs {q.metric_name!r}")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     union = set(p.bins) | set(q.bins)
     missing = len(union) - len(q.bins)
-    q_norm = 1.0 + epsilon * missing
+    q_norm = 1.0 + EPSILON * missing
     total = 0.0
     for value, p_v in p.bins.items():
         if p_v <= 0:
             continue
-        q_v = q.bins.get(value, epsilon) / q_norm
+        q_v = q.bins.get(value, EPSILON) / q_norm
         total += p_v * math.log(p_v / q_v)
     return total
 
@@ -283,9 +279,7 @@ class KldReport:
         return "\n".join(lines) + "\n"
 
 
-def class_report(
-    gen: list[GridSong], ref: list[GridSong], epsilon: float = DEFAULT_EPSILON
-) -> KldReport:
+def class_report(gen: list[GridSong], ref: list[GridSong]) -> KldReport:
     """All per-metric KLDs (generated vs reference) and their class means.
 
     Metrics with no observations on either side report None and drop
@@ -303,7 +297,7 @@ def class_report(
         except ValueError:
             per_metric[metric.name] = None
             continue
-        per_metric[metric.name] = kld(p, q, epsilon)
+        per_metric[metric.name] = kld(p, q)
     class_means: dict[str, float | None] = {}
     for cls, names in METRIC_CLASSES.items():
         values = [per_metric[n] for n in names if per_metric[n] is not None]
@@ -311,8 +305,8 @@ def class_report(
     return KldReport(per_metric=per_metric, class_means=class_means)
 
 
-def save_report(report: KldReport, dir_path, stem: str = "kld_report") -> list[str]:
-    """Write JSON, text, and CSV renderings; returns the file names."""
+def save_report(report: KldReport, dir_path) -> list[str]:
+    """Write ``kld_report`` as JSON, text and CSV; returns the file names."""
     directory = pathlib.Path(dir_path)
     directory.mkdir(parents=True, exist_ok=True)
     names = []
@@ -321,7 +315,7 @@ def save_report(report: KldReport, dir_path, stem: str = "kld_report") -> list[s
         ("txt", report.to_text()),
         ("csv", report.to_csv()),
     ):
-        path = directory / f"{stem}.{suffix}"
+        path = directory / f"kld_report.{suffix}"
         path.write_text(text)
         names.append(path.name)
     return names

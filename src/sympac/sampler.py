@@ -82,8 +82,8 @@ def _masked_weights(
     """Probabilities of the ids in ``ids``, in their order: softmax of
     ``scores / temperature`` over those ids, then top-k, then top-p, then
     renormalized to one."""
-    logits = scores[ids] / temperature
-    weights = np.exp(logits - logits.max())
+    logits = scores[ids]
+    weights = np.exp((logits - logits.max()) / temperature)
     if top_k is not None and top_k < len(ids):
         order = np.argsort(-weights, kind="stable")
         weights[order[top_k:]] = 0.0

@@ -20,11 +20,13 @@ import numpy as np
 from .ingest import GridSong
 from .vocab import BPM_BUCKET_MIDPOINTS, MELODIC_TRACKS, N_STEPS
 
+# The scorer's fixed settings.
 DEFAULT_KERNEL_WIDTH = 16
-DEFAULT_PEAK_SIGMA = 1.0
-DEFAULT_RESAMPLE_BEATS = 32
-DEFAULT_CLUSTER_THRESHOLD = 0.35
+PEAK_SIGMA = 1.0
+RESAMPLE_BEATS = 32
+CLUSTER_THRESHOLD = 0.35
 BOUNDARY_TOLERANCE_SECONDS = 3.0
+DURATION_TOLERANCE_SECONDS = 1.0
 FRAME_SECONDS = 0.1
 
 
@@ -107,14 +109,10 @@ def novelty_curve(features: np.ndarray, kernel_width: int = DEFAULT_KERNEL_WIDTH
     return out
 
 
-def foote_boundaries(
-    features: np.ndarray,
-    kernel_width: int = DEFAULT_KERNEL_WIDTH,
-    peak_sigma: float = DEFAULT_PEAK_SIGMA,
-) -> list[int]:
+def foote_boundaries(features: np.ndarray, kernel_width: int = DEFAULT_KERNEL_WIDTH) -> list[int]:
     """Boundary beat indices including the implicit 0 and end.
 
-    Novelty peaks must exceed mean + peak_sigma * std and respect a
+    Novelty peaks must exceed mean + PEAK_SIGMA * std and respect a
     minimum gap of half the kernel width; a feature matrix shorter than
     the kernel yields a single segment.
     """
@@ -124,7 +122,7 @@ def foote_boundaries(
     if n < kernel_width:
         return [0, n]
     novelty = novelty_curve(features, kernel_width)
-    threshold = novelty.mean() + peak_sigma * novelty.std()
+    threshold = novelty.mean() + PEAK_SIGMA * novelty.std()
     peaks = [
         t
         for t in range(1, n)
@@ -151,16 +149,12 @@ def _resample_patch(patch: np.ndarray, n_rows: int) -> np.ndarray:
     return patch[idx]
 
 
-def segment_signatures(
-    features: np.ndarray,
-    boundaries: list[int],
-    resample_beats: int = DEFAULT_RESAMPLE_BEATS,
-) -> np.ndarray:
+def segment_signatures(features: np.ndarray, boundaries: list[int]) -> np.ndarray:
     """Translation-invariant signature per segment: the 2D Fourier
     magnitude of the segment patch resampled to a fixed size."""
     signatures = []
     for lo, hi in zip(boundaries, boundaries[1:]):
-        patch = _resample_patch(features[lo:hi], resample_beats)
+        patch = _resample_patch(features[lo:hi], RESAMPLE_BEATS)
         magnitude = np.abs(np.fft.fft2(patch)).ravel()
         norm = np.linalg.norm(magnitude)
         signatures.append(magnitude / norm if norm > 0 else magnitude)
@@ -216,12 +210,7 @@ def _average_linkage_clusters(points: np.ndarray, threshold: float) -> list[int]
     return labels
 
 
-def label_segments_2dfmc(
-    features: np.ndarray,
-    boundaries: list[int],
-    resample_beats: int = DEFAULT_RESAMPLE_BEATS,
-    cluster_threshold: float = DEFAULT_CLUSTER_THRESHOLD,
-) -> list[str]:
+def label_segments_2dfmc(features: np.ndarray, boundaries: list[int]) -> list[str]:
     """Cluster segment signatures agglomeratively; labels are cluster
     ids renumbered in order of first appearance."""
     n_segments = len(boundaries) - 1
@@ -229,8 +218,8 @@ def label_segments_2dfmc(
         raise ValueError("need at least one segment")
     if n_segments == 1:
         return ["0"]
-    signatures = segment_signatures(features, boundaries, resample_beats)
-    raw = _average_linkage_clusters(signatures, cluster_threshold)
+    signatures = segment_signatures(features, boundaries)
+    raw = _average_linkage_clusters(signatures, CLUSTER_THRESHOLD)
     remap: dict[int, str] = {}
     labels = []
     for cluster in raw:
@@ -240,16 +229,11 @@ def label_segments_2dfmc(
     return labels
 
 
-def estimate_structure(
-    song: GridSong,
-    kernel_width: int = DEFAULT_KERNEL_WIDTH,
-    peak_sigma: float = DEFAULT_PEAK_SIGMA,
-    cluster_threshold: float = DEFAULT_CLUSTER_THRESHOLD,
-) -> StructureEstimate:
+def estimate_structure(song: GridSong) -> StructureEstimate:
     """Full pipeline on a song: features, boundaries, labels, seconds."""
     features = beat_sync_features(song)
-    boundaries = foote_boundaries(features, kernel_width, peak_sigma)
-    labels = label_segments_2dfmc(features, boundaries, cluster_threshold=cluster_threshold)
+    boundaries = foote_boundaries(features)
+    labels = label_segments_2dfmc(features, boundaries)
     beat = 60.0 / song_tempo_bpm(song)
     return StructureEstimate(
         boundaries=tuple(b * beat for b in boundaries), labels=tuple(labels)
@@ -288,13 +272,9 @@ def _f_measure(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def boundary_hit_rate(
-    est: StructureEstimate,
-    ref: StructureEstimate,
-    window: float = BOUNDARY_TOLERANCE_SECONDS,
-) -> float:
+def boundary_hit_rate(est: StructureEstimate, ref: StructureEstimate) -> float:
     """F-measure of greedy one-to-one interior-boundary matching within
-    the tolerance window.  Two trivial segmentations (no interior
+    BOUNDARY_TOLERANCE_SECONDS.  Two trivial segmentations (no interior
     boundaries on either side) count as a perfect match."""
     est_b = list(est.boundaries[1:-1])
     ref_b = list(ref.boundaries[1:-1])
@@ -310,7 +290,7 @@ def boundary_hit_rate(
     used_r: set[int] = set()
     hits = 0
     for dist, i, j in pairs:
-        if dist > window:
+        if dist > BOUNDARY_TOLERANCE_SECONDS:
             break
         if i in used_e or j in used_r:
             continue
@@ -383,13 +363,10 @@ def entropy_scores_f(est: StructureEstimate, ref: StructureEstimate) -> float:
     return _f_measure(s_over, s_under)
 
 
-def structure_scores(
-    est: StructureEstimate,
-    ref: StructureEstimate,
-    duration_tolerance: float = 1.0,
-) -> tuple[float, float, float]:
-    """(HR3F, PWF, Sf) for an estimated against a reference structure."""
-    if abs(est.duration - ref.duration) > duration_tolerance:
+def structure_scores(est: StructureEstimate, ref: StructureEstimate) -> tuple[float, float, float]:
+    """(HR3F, PWF, Sf) for an estimated against a reference structure;
+    their durations may differ by DURATION_TOLERANCE_SECONDS at most."""
+    if abs(est.duration - ref.duration) > DURATION_TOLERANCE_SECONDS:
         raise ValueError(
             f"duration mismatch: {est.duration:.2f}s vs {ref.duration:.2f}s"
         )
@@ -400,12 +377,7 @@ def structure_scores(
     )
 
 
-def oracle_scores(
-    song: GridSong,
-    ref: StructureEstimate,
-    resample_beats: int = DEFAULT_RESAMPLE_BEATS,
-    cluster_threshold: float = DEFAULT_CLUSTER_THRESHOLD,
-) -> tuple[float, float]:
+def oracle_scores(song: GridSong, ref: StructureEstimate) -> tuple[float, float]:
     """(PWF, Sf) when the reference segmentation is given: segments are
     re-labeled from the song's own content at the reference boundaries,
     isolating how similar the repeated sections really are."""
@@ -417,9 +389,7 @@ def oracle_scores(
         boundary_beats.insert(0, 0)
     if boundary_beats[-1] != n:
         boundary_beats.append(n)
-    labels = label_segments_2dfmc(
-        features, boundary_beats, resample_beats, cluster_threshold
-    )
+    labels = label_segments_2dfmc(features, boundary_beats)
     seconds = tuple(b * beat for b in boundary_beats)
     est = StructureEstimate(boundaries=seconds, labels=tuple(labels))
     return pairwise_f(est, ref), entropy_scores_f(est, ref)

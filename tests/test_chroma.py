@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from sympac.chroma import (
     ideal_bank,
     learn_templates,
 )
-from sympac.errors import ValidationError
+from sympac.errors import ParseError, ValidationError
 from sympac.ingest import GridBar, GridNote, GridSong
 from sympac.vocab import ROOTS
 from synthcorpus import chord_following_bar, random_grid_song, triad
@@ -148,6 +151,56 @@ def test_bank_json_round_trip(tmp_path):
     again = TemplateBank.load(tmp_path / "bank.json")
     assert again.maj == pytest.approx(bank.maj)
     assert again.min == pytest.approx(bank.min)
+
+
+def test_bank_files_with_the_older_n_entry_load_alike(tmp_path):
+    doc = ideal_bank().to_json()
+    assert sorted(doc) == ["maj", "min"]
+    (tmp_path / "old.json").write_text(json.dumps({**doc, "N": [1.0] * 12}))
+    old = TemplateBank.load(tmp_path / "old.json")
+    assert old.to_json() == doc
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        chroma = rng.random(12)
+        assert detect_chord(chroma, old) == detect_chord(chroma, ideal_bank())
+
+
+_TWELVE = [1.0] + [0.0] * 11
+# (file text, the error it raises, text the message must hold)
+_BAD_BANKS = [
+    pytest.param("{}", ValidationError, "'maj'", id="empty"),
+    pytest.param("[1]", ValidationError, "JSON object", id="array"),
+    pytest.param(json.dumps({"maj": 5, "min": _TWELVE}), ValidationError, "'maj'", id="number"),
+    pytest.param(json.dumps({"maj": _TWELVE}), ValidationError, "'min'", id="no-min"),
+    pytest.param(
+        json.dumps({"maj": _TWELVE, "min": ["x"] * 12}), ValidationError, "'min'", id="strings"
+    ),
+    pytest.param(
+        json.dumps({"maj": _TWELVE, "min": _TWELVE[:11]}), ValidationError, "'min'", id="eleven"
+    ),
+    pytest.param(
+        json.dumps({"maj": [True] * 12, "min": _TWELVE}), ValidationError, "'maj'", id="booleans"
+    ),
+    pytest.param(
+        json.dumps({"maj": [float("nan")] + _TWELVE[1:], "min": _TWELVE}),
+        ValidationError, "'maj'", id="nan",
+    ),
+    pytest.param(
+        json.dumps({"maj": _TWELVE, "min": [0.0] * 12}), ValidationError, "'min'", id="zero"
+    ),
+    pytest.param(
+        json.dumps({"maj": [1e308] * 12, "min": _TWELVE}), ValidationError, "'maj'",
+        id="norm-overflow",
+    ),
+    pytest.param("not json", ParseError, "template bank", id="not-json"),
+]
+
+
+@pytest.mark.parametrize("text,error,named", _BAD_BANKS)
+def test_malformed_bank_files_raise_a_sympac_error(tmp_path, text, error, named):
+    (tmp_path / "bank.json").write_text(text)
+    with pytest.raises(error, match=re.escape(named)):
+        TemplateBank.load(tmp_path / "bank.json")
 
 
 def test_chord_accuracy_on_ideal_input():

@@ -146,6 +146,23 @@ def test_generate_seed_from_environment(trained, monkeypatch):
     assert manifest["run"]["seed"] == 77
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_an_explicit_seed_wins_over_a_malformed_environment_seed(trained, monkeypatch, source):
+    monkeypatch.setenv("SYMPAC_SEED", "abc")
+    if source == "flag":
+        argv = ["generate", "--seed", "3"]
+    else:
+        (trained / "seed.json").write_text(json.dumps({"seed": 3}))
+        argv = ["--config", str(trained / "seed.json"), "generate"]
+    argv += ["--model", str(trained / "model.bin"), "--bars", "2", "--out-dir"]
+    assert main([*argv, str(trained / "g1")]) == 0
+    assert json.loads((trained / "g1" / "manifest.json").read_text())["run"]["seed"] == 3
+    monkeypatch.delenv("SYMPAC_SEED")
+    assert main([*argv, str(trained / "g2")]) == 0
+    name = "sample_0000.tokens"
+    assert (trained / "g1" / name).read_bytes() == (trained / "g2" / name).read_bytes()
+
+
 def test_generate_parallel_matches_serial(trained):
     base = [
         "generate", "--model", str(trained / "model.bin"), "-n", "3",
@@ -309,6 +326,41 @@ def test_detect_chords_command(trained, capsys):
     assert "sample_0000" in capsys.readouterr().out
 
 
+_TWELVE = [1.0] + [0.0] * 11
+
+
+@pytest.mark.parametrize(
+    "text,named",
+    [
+        ("{}", "'maj'"),
+        (json.dumps({"maj": _TWELVE, "min": [float("nan")] + _TWELVE[1:]}), "'min'"),
+        ("{", "template bank"),
+    ],
+    ids=["empty", "nan", "not-json"],
+)
+def test_a_malformed_bank_exits_two(trained, capsys, text, named):
+    assert main([
+        "generate", "--model", str(trained / "model.bin"),
+        "--out-dir", str(trained / "genb"), "--seed", "6", "--bars", "2",
+    ]) == 0
+    (trained / "bad.json").write_text(text)
+    capsys.readouterr()
+    assert main(["detect-chords", str(trained / "genb"), "--bank", str(trained / "bad.json")]) == 2
+    assert named in capsys.readouterr().err
+    assert main([
+        "evaluate", "--generated", str(trained / "genb"), "--which", "chords",
+        "--chords", "C", "--bank", str(trained / "bad.json"),
+    ]) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "detect-chords"])
+def test_inputs_without_token_files_exit_two(tmp_path, capsys, command):
+    (tmp_path / "empty").mkdir()
+    assert main([command, str(tmp_path / "empty")]) == 2
+    assert "no token files" in capsys.readouterr().err
+
+
 def test_evaluate_kld_identity(trained, tmp_path, capsys):
     corpus = read_corpus(trained / "corpus.bin")
     gen_dir = trained / "asref"
@@ -456,10 +508,16 @@ def test_bad_control_file_types_exit_one(trained, tmp_path):
         "--out-dir", str(trained / "badctrl"), "--control", str(tmp_path / "ctrl.json"),
     ])
     assert rc == 1
-    (tmp_path / "ctrl2.json").write_text(json.dumps({"structure": [["verse", "many"]]}))
+    for structure in ([["verse", "many"]], 5, [["verse", 1e300]]):
+        (tmp_path / "ctrl2.json").write_text(json.dumps({"structure": structure}))
+        rc = main([
+            "generate", "--model", str(trained / "model.bin"),
+            "--out-dir", str(trained / "badctrl2"), "--control", str(tmp_path / "ctrl2.json"),
+        ])
+        assert rc == 1
     rc = main([
         "generate", "--model", str(trained / "model.bin"),
-        "--out-dir", str(trained / "badctrl2"), "--control", str(tmp_path / "ctrl2.json"),
+        "--out-dir", str(trained / "badctrl3"), "--structure", "verse*" + "9" * 30,
     ])
     assert rc == 1
 

@@ -340,6 +340,9 @@ def test_parse_structure_arg():
     )
     with pytest.raises(ControlError):
         parse_structure_arg("nave*4")
+    for text in ("verse*" + "9" * 30, "verse*" + "9" * 18):
+        with pytest.raises(ControlError, match="too large"):
+            parse_structure_arg(text)
 
 
 def test_control_json_round_trip():
@@ -360,7 +363,7 @@ def test_control_json_round_trip_property(spec):
 
 
 def test_control_json_rejects_non_array_chords():
-    for key in ("chords", "chord_schedule"):
+    for key in ("chords", "chord_schedule", "structure"):
         with pytest.raises(ControlError, match=key):
             ControlSpec.from_json({key: 5})
     with pytest.raises(ControlError, match="non-empty"):
@@ -603,7 +606,7 @@ def test_chord_schedule_rejects_non_integral_bar_and_step():
 
 
 def test_structure_rejects_non_integral_bar_counts():
-    for bars in (1.5, True, "2", None):
+    for bars in (1.5, True, "2", None, 1e300):
         with pytest.raises(ControlError, match="bar count"):
             ControlSpec.from_json({"structure": [["verse", bars]]})
     spec = ControlSpec.from_json({"structure": [["verse", 2.0]]})

@@ -147,7 +147,7 @@ def test_kld_disjoint_supports_closed_form():
     p = MetricDistribution("chord_label", {"a": 1.0}, 1)
     q = MetricDistribution("chord_label", {"b": 1.0}, 1)
     eps = 1e-6
-    assert kld(p, q, eps) == pytest.approx(math.log((1 + eps) / eps), rel=1e-9)
+    assert kld(p, q) == pytest.approx(math.log((1 + eps) / eps), rel=1e-9)
 
 
 def test_kld_nonnegative_on_random_pairs():

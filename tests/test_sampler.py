@@ -37,8 +37,10 @@ def test_renormalize_zero_temperature_limit():
     rng = np.random.default_rng(2)
     scores = rng.normal(size=VOCAB_SIZE)
     ids = np.arange(50, 90)
-    probs = sampler._masked_weights(scores, ids, 1e-9, None, None)
-    assert probs[int(np.argmax(scores[50:90]))] == pytest.approx(1.0)
+    # at 1e-320 the scores divided by the temperature would overflow
+    for temperature in (1e-9, 1e-320):
+        probs = sampler._masked_weights(scores, ids, temperature, None, None)
+        assert probs[int(np.argmax(scores[50:90]))] == pytest.approx(1.0)
 
 
 def test_top_k_one_equals_argmax():
@@ -333,6 +335,12 @@ def test_step_cache_drops_what_add_sequence_replaces():
         assert any(sampler._STEP_CACHE[model].values())
         model.add_sequence(songs[20 + round_])
         assert not any(sampler._STEP_CACHE[model].values())
+
+
+def test_a_tiny_temperature_samples():
+    model = train_ngram(CORPUS, order=3)
+    result = constrained_sample(model, RULES, None, SamplerConfig(temperature=1e-320, rng_seed=1))
+    assert result.truncated or validate(result.tokens) == []
 
 
 def test_uniform_scores_are_read_only():
