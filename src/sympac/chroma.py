@@ -51,7 +51,8 @@ class TemplateBank:
             values = doc.get(key)
             if isinstance(values, list) and len(values) == 12:
                 if all(type(x) in (int, float) for x in values):
-                    norm = float(np.linalg.norm(values))
+                    with np.errstate(over="ignore"):  # an overflow is an inf norm, rejected below
+                        norm = float(np.linalg.norm(values))
                     if 0 < norm < math.inf:  # false for a NaN or infinite entry too
                         return np.asarray(values, dtype=float) / norm
             raise ValidationError(f"template {key!r} must be 12 finite numbers, not all zero")

@@ -417,9 +417,17 @@ class FsmState:
     ``update_state`` advances it in place; a caller that needs an earlier
     state keeps a ``copy.copy`` of it (every slot holds an int, a bool or
     a tuple, so a shallow copy is independent).
+
+    The private ``_offered`` slot holds the offer: the mask ``legal_ids``
+    last computed for this state (0 for none), which ``update_state``
+    accepts with one bit test.  Every advance resets it to 0, and a copy
+    (shallow, deep or unpickled) starts without one.  Writing a public
+    slot by hand voids the offer: call ``legal_ids`` again before
+    advancing.
     """
 
     __slots__ = (
+        "_offered",
         "phase",
         "in_prompt",
         "bar_index",
@@ -437,6 +445,7 @@ class FsmState:
     )
 
     def __init__(self):
+        self._offered = 0
         self.phase = PH_GENRE
         self.in_prompt = True
         self.bar_index = 0
@@ -466,6 +475,13 @@ class FsmState:
 
     def __repr__(self) -> str:
         return f"<FsmState step={self.step} {self.describe()}>"
+
+    def __getstate__(self):
+        # What ``copy.copy``, ``copy.deepcopy`` and pickle carry over.  A copy
+        # may be tampered with, so it starts without the offer.
+        slots = {name: getattr(self, name) for name in self.__slots__}
+        slots["_offered"] = 0
+        return None, slots
 
 
 def _block(base: int, count: int) -> int:
@@ -609,10 +625,12 @@ def legal_ids(
     (None: the grammar alone).
 
     The array is shared between calls and read-only.  Raises
-    ConstraintConflictError when controls empty the grammar mask.
+    ConstraintConflictError when controls empty the grammar mask.  The
+    mask is left on ``state`` as its offer (0 after a conflict), so the
+    next ``update_state`` accepts a token from it with one bit test.
     """
     cc = _NO_CONTROL if control is None else control
-    bits = _legal_bits(rules, state, cc)
+    state._offered = bits = _legal_bits(rules, state, cc)
     # A mask seen before is one lookup.  0 is never cached: ``ids_of`` is
     # reached only with a non-empty mask.
     ids = rules._ids.get(bits)
@@ -670,10 +688,13 @@ def update_state(rules: RuleSet, state: FsmState, token: Token | int) -> FsmStat
 
     ``token`` is accepted only when it is in the grammar mask of
     ``state``: the mask ``legal_ids`` gives with no control.  Every
-    controlled mask is a subset of it, so a token drawn from any mask is
-    accepted.  Any other token, and every token in the terminal state,
-    raises ValueError before anything is written, leaving ``state`` as
-    it was.  An id may be any integer type, a NumPy one included.
+    controlled mask is a subset of it, so a token in the mask that
+    ``legal_ids`` last offered on ``state`` is accepted with one bit
+    test; any other token gets the full grammar check.  Any token outside
+    the grammar mask, and every token in the terminal state, raises
+    ValueError before anything is written, leaving ``state`` as it was.
+    An advance clears the offer.  An id may be any integer type, a NumPy
+    one included.
     """
     if isinstance(token, int):
         token_id = token
@@ -682,13 +703,13 @@ def update_state(rules: RuleSet, state: FsmState, token: Token | int) -> FsmStat
     else:
         token_id = build_vocab().id_of(token)
     ph = state.phase
-    if (
-        token_id < 0
-        or ph == PH_TERMINAL
-        or not _legal_bits(rules, state, _NO_CONTROL) >> token_id & 1
+    if token_id < 0 or ph == PH_TERMINAL or not (
+        state._offered >> token_id & 1
+        or _legal_bits(rules, state, _NO_CONTROL) >> token_id & 1
     ):
         raise _illegal(state, token_id)
     state.step += 1
+    state._offered = 0
 
     # The note and drum phases come first: most steps are in them, and their
     # grammar masks hold no bar, end or track token.

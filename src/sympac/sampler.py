@@ -54,6 +54,12 @@ class SamplerConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("top_k", "max_tokens", "rng_seed"):
+            value = getattr(self, name)
+            if value is None and name == "top_k":
+                continue
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not self.temperature > 0:  # NaN fails this test too
             raise ValueError(f"temperature must be positive, got {self.temperature}")
         if self.top_k is not None and self.top_k < 1:
@@ -83,7 +89,8 @@ def _masked_weights(
     ``scores / temperature`` over those ids, then top-k, then top-p, then
     renormalized to one."""
     logits = scores[ids]
-    weights = np.exp((logits - logits.max()) / temperature)
+    with np.errstate(over="ignore"):  # a tiny temperature overflows to inf, and exp(-inf) = 0
+        weights = np.exp((logits - logits.max()) / temperature)
     if top_k is not None and top_k < len(ids):
         order = np.argsort(-weights, kind="stable")
         weights[order[top_k:]] = 0.0

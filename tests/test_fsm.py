@@ -569,6 +569,73 @@ def test_controlled_mask_is_within_the_grammar_mask(spec, seed, tamper):
         assert fsm._legal_bits(RULES, state, cc) & ~grammar == 0
 
 
+def _accepts(state, cc, token, offer):
+    """Whether ``update_state`` takes ``token`` on a fresh copy of ``state``,
+    with ``offer`` just offered its mask under ``cc``."""
+    trial = copy.copy(state)
+    if offer:
+        try:
+            legal_ids(RULES, trial, cc)
+        except ConstraintConflictError:
+            pass
+    try:
+        update_state(RULES, trial, token)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=30, deadline=None)
+@given(control_specs(), st.integers(0, 2**32 - 1), st.booleans())
+def test_update_state_accepts_exactly_the_grammar_mask_with_or_without_an_offer(
+    spec, seed, tamper
+):
+    cc = compile_control(spec)
+    rng = np.random.default_rng(seed)
+    for state in controlled_walk(spec, seed, tamper):
+        grammar = reference_mask(state, compile_control(None))
+        outside = rng.choice(np.flatnonzero(~grammar), size=16, replace=False)
+        for offer in (True, False):
+            for token in np.flatnonzero(grammar):
+                assert _accepts(state, cc, int(token), offer)
+            for token in outside:
+                assert not _accepts(state, cc, int(token), offer)
+
+
+def _public_slots(state):
+    return {name: getattr(state, name) for name in fsm.FsmState.__slots__ if name[0] != "_"}
+
+
+def test_a_grammar_token_outside_the_offer_takes_the_full_check():
+    state = initial_state()
+    assert legal_ids(RULES, state, ControlSpec(genre="Pop")).tolist() == [genre_id("Pop")]
+    update_state(RULES, state, genre_id("Rock"))
+    assert state.genre == GENRES.index("Rock") and state._offered == 0
+
+
+def test_a_token_outside_the_grammar_after_an_offer_changes_nothing():
+    state = advance(HEADER + (position_id(4), chord_id("C:maj")))
+    legal_ids(RULES, state, ControlSpec(genre="Pop"))
+    before = _public_slots(state)
+    for token in (position_id(4), position_id(2), pitch_id(60), EOS_ID):
+        with pytest.raises(ValueError, match="illegal transition"):
+            update_state(RULES, state, token)
+        assert _public_slots(state) == before
+
+
+def test_a_tampered_copy_does_not_inherit_the_offer():
+    state = advance(HEADER)
+    assert track_id("piano") in legal_ids(RULES, state)
+    for make_copy in (copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))):
+        other = make_copy(state)
+        assert _public_slots(other) == _public_slots(state) and other._offered == 0
+        other.tracks_emitted = 1 << TRACKS.index("piano")
+        with pytest.raises(ValueError, match="illegal transition"):
+            update_state(RULES, other, track_id("piano"))
+    update_state(RULES, state, track_id("piano"))
+    assert state._offered == 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(control_specs(), st.integers(0, 2**32 - 1))
 def test_uniform_samples_under_random_controls_validate_and_replay(spec, seed):

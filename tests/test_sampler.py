@@ -156,6 +156,27 @@ def test_config_validation():
         SamplerConfig(rng_seed=-3)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("top_k", 2.5), ("top_k", True), ("top_k", "3"), ("max_tokens", 3000.5),
+     ("max_tokens", False), ("max_tokens", None), ("rng_seed", 1.5), ("rng_seed", True),
+     ("rng_seed", None)],
+)
+def test_integer_settings_reject_other_types(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        SamplerConfig(**{name: value})
+
+
+def test_integer_settings_take_numpy_integers():
+    config = SamplerConfig(top_k=np.int64(3), max_tokens=np.int32(400), rng_seed=np.uint64(7))
+    plain = SamplerConfig(top_k=3, max_tokens=400, rng_seed=7)
+    model = train_ngram(CORPUS, order=3)
+    assert (
+        constrained_sample(model, RULES, None, config).tokens
+        == constrained_sample(model, RULES, None, plain).tokens
+    )
+
+
 @pytest.mark.parametrize("seed", [0, 1, 97, 2**32 - 1, 2**63 + 5])
 def test_blocks_of_draws_equal_successive_scalar_draws(seed):
     # The sampler draws a song's doubles in blocks; this is the property of
