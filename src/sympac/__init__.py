@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .chroma import TemplateBank, bar_chroma, chord_accuracy, detect_chord, ideal_bank, learn_templates
 from .encoding import (
-    Violation,
     decode_sequence,
     encode_song,
     read_corpus,

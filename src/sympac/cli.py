@@ -271,14 +271,14 @@ def _cmd_train(args, config: dict) -> int:
     except ValueError as exc:
         raise _Usage(f"model settings: {exc}") from None
     corpus = read_corpus(args.corpus)
-    if not corpus:
-        print("corpus is empty", file=sys.stderr)
+    if not any(corpus):
+        print("corpus is empty" if not corpus else "corpus holds no tokens", file=sys.stderr)
         return EXIT_DATA
     model = train_ngram(corpus, order=order, discount=discount)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model_file(model, out)
-    sample = corpus[: min(len(corpus), 20)]
+    sample = [seq for seq in corpus if seq][:20]
     print(
         f"trained order-{order} model on {len(corpus)} sequences; "
         f"training-sample perplexity {perplexity(model, sample):.1f}; wrote {out}"
@@ -462,14 +462,18 @@ def _cmd_evaluate(args, config: dict) -> int:
     if not songs:
         print(f"no token files in {gen_dir}", file=sys.stderr)
         return EXIT_DATA
+    if "kld" in which:
+        if not args.reference:
+            raise _Usage("--reference is required for the kld evaluation")
+        ref_songs = [decode_sequence(seq) for seq in iter_corpus(args.reference)]
+        if not ref_songs:
+            print(f"no token sequences in reference {args.reference}", file=sys.stderr)
+            return EXIT_DATA
     out_dir = Path(args.out_dir or (gen_dir / "reports"))
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
 
     if "kld" in which:
-        if not args.reference:
-            raise _Usage("--reference is required for the kld evaluation")
-        ref_songs = [decode_sequence(seq) for seq in iter_corpus(args.reference)]
         report = class_report(songs, ref_songs)
         written += save_report(report, out_dir)
         print(report.to_text())

@@ -20,8 +20,6 @@ import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .errors import DecodeError, ParseError
 from .ingest import GridBar, GridNote, GridSong
 from .vocab import (
@@ -44,6 +42,7 @@ from .vocab import (
     TRACK_BASE,
     TRACKS,
     VOCAB_SIZE,
+    as_id,
     bpm_id,
     build_vocab,
     chord_id,
@@ -62,18 +61,6 @@ TOKEN_FILE_MAGIC = b"SYMPAC01"
 _KIND = tuple(kind_of_id(i) for i in range(VOCAB_SIZE))
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
-    """One grammar violation: where, what, and which kinds were legal."""
-
-    index: int
-    message: str
-    expected: tuple[str, ...] = ()
-
-    def __str__(self) -> str:
-        return f"token {self.index}: {self.message}"
-
-
 @dataclass(slots=True)
 class _BarData:
     start: int
@@ -87,7 +74,7 @@ class _BarData:
 
 
 class _Scan:
-    """Single forward scan; raises _Stop with the first violation."""
+    """Single forward scan; raises DecodeError at the first violation."""
 
     def __init__(self, seq: list[int]):
         self.seq = seq
@@ -101,21 +88,14 @@ class _Scan:
 
     def take(self, kind: str, context: str) -> int:
         if self.done():
-            raise _Stop(
-                Violation(len(self.seq), f"sequence ends where {kind} was expected ({context})", (kind,))
+            raise DecodeError(
+                len(self.seq), f"sequence ends where {kind} was expected ({context})", (kind,)
             )
         tok = self.seq[self.pos]
         if _KIND[tok] != kind:
-            raise _Stop(
-                Violation(self.pos, f"expected {kind} {context}, found {_KIND[tok]}", (kind,))
-            )
+            raise DecodeError(self.pos, f"expected {kind} {context}, found {_KIND[tok]}", (kind,))
         self.pos += 1
         return tok
-
-
-class _Stop(Exception):
-    def __init__(self, violation: Violation):
-        self.violation = violation
 
 
 def _scan_bar(scan: _Scan, in_prompt: bool) -> _BarData:
@@ -130,8 +110,8 @@ def _scan_bar(scan: _Scan, in_prompt: bool) -> _BarData:
         step = scan.seq[scan.pos] - POS_BASE
         scan.pos += 1
         if step <= last_step:
-            raise _Stop(
-                Violation(pos_index, f"chord step {step} not greater than previous step {last_step}")
+            raise DecodeError(
+                pos_index, f"chord step {step} not greater than previous step {last_step}"
             )
         symbol = scan.take("chord", "after a chord-part position")
         bar.chords.append((step, symbol - CHORD_BASE))
@@ -143,11 +123,8 @@ def _scan_bar(scan: _Scan, in_prompt: bool) -> _BarData:
         track = scan.seq[scan.pos] - TRACK_BASE
         scan.pos += 1
         if track <= last_track:
-            raise _Stop(
-                Violation(
-                    track_index,
-                    f"track {TRACKS[track]} out of order after {TRACKS[last_track]}",
-                )
+            raise DecodeError(
+                track_index, f"track {TRACKS[track]} out of order after {TRACKS[last_track]}"
             )
         last_track = track
         bar.track_tokens.append((track_index, track))
@@ -169,18 +146,14 @@ def _scan_note_part(scan: _Scan, bar: _BarData, track: int) -> None:
         pos_index = scan.pos
         step = scan.take("position", "to start a note group") - POS_BASE
         if step < last_step:
-            raise _Stop(
-                Violation(pos_index, f"note position {step} decreases from {last_step}")
-            )
+            raise DecodeError(pos_index, f"note position {step} decreases from {last_step}")
         duration = scan.take("duration", "after a note position") - DUR_BASE + 1
         pitch_index = scan.pos
         pitch = scan.take("pitch", "after a note duration") - PITCH_BASE
         if step == last_step and pitch <= last_pitch:
-            raise _Stop(
-                Violation(
-                    pitch_index,
-                    f"pitch {pitch} not ascending at shared position {step} (previous {last_pitch})",
-                )
+            raise DecodeError(
+                pitch_index,
+                f"pitch {pitch} not ascending at shared position {step} (previous {last_pitch})",
             )
         notes.append(GridNote(step, duration, pitch))
         last_pitch = pitch  # chain restarts whenever the position advances
@@ -197,17 +170,13 @@ def _scan_drum_part(scan: _Scan, bar: _BarData) -> None:
         pos_index = scan.pos
         step = scan.take("position", "to start a drum group") - POS_BASE
         if step < last_step:
-            raise _Stop(
-                Violation(pos_index, f"drum position {step} decreases from {last_step}")
-            )
+            raise DecodeError(pos_index, f"drum position {step} decreases from {last_step}")
         key_index = scan.pos
         key = scan.take("drum", "after a drum position") - DRUM_BASE + DRUM_KEY_MIN
         if step == last_step and key <= last_key:
-            raise _Stop(
-                Violation(
-                    key_index,
-                    f"drum key {key} not ascending at shared position {step} (previous {last_key})",
-                )
+            raise DecodeError(
+                key_index,
+                f"drum key {key} not ascending at shared position {step} (previous {last_key})",
             )
         bar.drums.append((step, key))
         last_key = key
@@ -223,36 +192,35 @@ def _scan_section(scan: _Scan, in_prompt: bool) -> list[_BarData]:
     while True:
         bars.append(_scan_bar(scan, in_prompt))
         if scan.done():
-            raise _Stop(
-                Violation(len(scan.seq), f"sequence ends inside the {section} section",
-                          ("bar", closer))
+            raise DecodeError(
+                len(scan.seq), f"sequence ends inside the {section} section", ("bar", closer)
             )
         kind = scan.peek_kind()
         if kind not in ("bar", closer):
-            raise _Stop(
-                Violation(scan.pos, f"expected bar or {closer}, found {kind}", ("bar", closer))
-            )
+            raise DecodeError(scan.pos, f"expected bar or {closer}, found {kind}", ("bar", closer))
         scan.pos += 1
         if kind == closer:
             return bars
 
 
 def _parse(seq: list[int]) -> tuple[list[_BarData], list[_BarData]]:
-    """Parse into (prompt_bars, song_bars); raise _Stop on the first violation."""
+    """Parse into (prompt_bars, song_bars); raise DecodeError at the first violation."""
     for i, tok in enumerate(seq):
-        if not isinstance(tok, (int, np.integer)) or not 0 <= tok < VOCAB_SIZE:
-            raise _Stop(Violation(i, f"id {tok!r} outside the vocabulary"))
+        try:
+            as_id(tok)
+        except ValueError:
+            raise DecodeError(i, f"id {tok!r} outside the vocabulary") from None
 
     scan = _Scan(seq)
     if scan.done():
-        raise _Stop(Violation(0, "expected bar at index 0", ("bar",)))
+        raise DecodeError(0, "expected bar at index 0", ("bar",))
 
     scan.take("bar", "at the start of the sequence")
     prompt_bars = _scan_section(scan, in_prompt=True)
     scan.take("bar", "after end_of_prompt")
     song_bars = _scan_section(scan, in_prompt=False)
     if not scan.done():
-        raise _Stop(Violation(scan.pos, "content after end_of_song"))
+        raise DecodeError(scan.pos, "content after end_of_song")
 
     _cross_check(prompt_bars, song_bars)
     return prompt_bars, song_bars
@@ -261,47 +229,43 @@ def _parse(seq: list[int]) -> tuple[list[_BarData], list[_BarData]]:
 def _cross_check(prompt_bars: list[_BarData], song_bars: list[_BarData]) -> None:
     if len(prompt_bars) != len(song_bars):
         last = song_bars[-1]
-        raise _Stop(
-            Violation(
-                last.start,
-                f"{len(song_bars)} song bars do not match {len(prompt_bars)} prompt bars",
-            )
+        raise DecodeError(
+            last.start, f"{len(song_bars)} song bars do not match {len(prompt_bars)} prompt bars"
         )
     genre = prompt_bars[0].genre
     for bar in prompt_bars + song_bars:
         if bar.genre != genre:
-            raise _Stop(
-                Violation(
-                    bar.start + 1,
-                    f"genre {GENRES[bar.genre - GENRE_BASE]} differs from the song genre "
-                    f"{GENRES[genre - GENRE_BASE]}",
-                )
+            raise DecodeError(
+                bar.start + 1,
+                f"genre {GENRES[bar.genre - GENRE_BASE]} differs from the song genre "
+                f"{GENRES[genre - GENRE_BASE]}",
             )
     for i, (p, s) in enumerate(zip(prompt_bars, song_bars)):
         if s.sec != p.sec:
-            raise _Stop(Violation(s.start + 2, f"bar {i}: section differs from its prompt bar"))
+            raise DecodeError(s.start + 2, f"bar {i}: section differs from its prompt bar")
         if s.bpm != p.bpm:
-            raise _Stop(Violation(s.start + 3, f"bar {i}: bpm_level differs from its prompt bar"))
+            raise DecodeError(s.start + 3, f"bar {i}: bpm_level differs from its prompt bar")
         if s.chords != p.chords:
-            raise _Stop(Violation(s.start + 4, f"bar {i}: chord part differs from its prompt bar"))
+            raise DecodeError(s.start + 4, f"bar {i}: chord part differs from its prompt bar")
         promised = {t for _, t in p.track_tokens}
         for index, track in s.track_tokens:
             if track not in promised:
-                raise _Stop(
-                    Violation(index, f"bar {i}: track {TRACKS[track]} missing from its prompt bar")
+                raise DecodeError(
+                    index, f"bar {i}: track {TRACKS[track]} missing from its prompt bar"
                 )
 
 
-def validate(seq: list[int]) -> list[Violation]:
+def validate(seq: list[int]) -> list[DecodeError]:
     """Scan a token sequence; empty result means it is grammatical.
 
     Scanning stops at the first violation, so the result holds at most
-    one entry; violations are data, not exceptions.
+    one entry: the DecodeError that :func:`decode_sequence` raises on
+    ``seq``, returned as data rather than raised.
     """
     try:
         _parse(list(seq))
-    except _Stop as stop:
-        return [stop.violation]
+    except DecodeError as error:
+        return [error]
     return []
 
 
@@ -346,11 +310,7 @@ def decode_sequence(seq: list[int], source_id: str = "") -> GridSong:
     reconstructed from the song bars.  The genre is the genre token of
     the first song bar.
     """
-    try:
-        _, song_bars = _parse(list(seq))
-    except _Stop as stop:
-        v = stop.violation
-        raise DecodeError(v.index, v.message, v.expected) from None
+    _, song_bars = _parse(list(seq))
 
     bars = []
     for data in song_bars:
@@ -376,14 +336,11 @@ def decode_sequence(seq: list[int], source_id: str = "") -> GridSong:
 # Token sequence files: binary records and a readable text form.
 
 def tokens_to_bytes(seq: list[int]) -> bytes:
-    """One token record.  An id that is not an integer in 0..335 (a NumPy
-    integer will do, a bool will not) raises ValueError."""
-    for token_id in seq:
-        integral = type(token_id) is int or isinstance(token_id, np.integer)
-        if not (integral and 0 <= token_id < VOCAB_SIZE):
-            raise ValueError(f"token ids must be integers in 0..{VOCAB_SIZE - 1}, got {token_id!r}")
-    payload = np.asarray(seq, dtype="<u2")
-    return TOKEN_FILE_MAGIC + struct.pack("<Q", len(seq)) + payload.tobytes()
+    """One token record: the magic, the id count as ``<Q``, then each id as
+    ``<H``.  An id that is not an integer in 0..335 (a NumPy integer will
+    do, a bool will not) raises ValueError."""
+    ids = [as_id(token_id) for token_id in seq]
+    return TOKEN_FILE_MAGIC + struct.pack(f"<Q{len(ids)}H", len(ids), *ids)
 
 
 def _record_from(buffer: bytes, offset: int) -> tuple[list[int], int]:
@@ -396,10 +353,10 @@ def _record_from(buffer: bytes, offset: int) -> tuple[list[int], int]:
     end = start + 2 * count
     if end > len(buffer):
         raise ParseError(f"byte {offset}: truncated token record")
-    ids = np.frombuffer(buffer[start:end], dtype="<u2")
-    if len(ids) and int(ids.max()) >= VOCAB_SIZE:
+    ids = struct.unpack_from(f"<{count}H", buffer, start)
+    if count and max(ids) >= VOCAB_SIZE:
         raise ParseError(f"byte {offset}: token id outside the vocabulary")
-    return [int(i) for i in ids], end
+    return list(ids), end
 
 
 def tokens_from_bytes(data: bytes) -> list[int]:

@@ -24,12 +24,17 @@ class EmptySongError(ValidationError):
 class DecodeError(SympacError):
     """Token sequence does not follow the encoding grammar.
 
-    Carries the offending token index and the set of token kinds
-    that would have been legal there.
+    Carries the offending token ``index``, the ``message`` that says what
+    is wrong there, and the token kinds that would have been legal there
+    (``expected``; empty when the token has the right kind but breaks an
+    order or a prompt-bar match).  ``str()`` gives
+    ``token <index>: <message>``.  ``encoding.validate`` returns the same
+    error that ``encoding.decode_sequence`` raises.
     """
 
     def __init__(self, index: int, message: str, expected: tuple[str, ...] = ()):
         self.index = index
+        self.message = message
         self.expected = expected
         super().__init__(f"token {index}: {message}")
 

@@ -18,7 +18,6 @@ skeleton, any control satisfied by the prompt is satisfied by the music.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
@@ -48,7 +47,7 @@ from .vocab import (
     TRACK_BASE,
     TRACKS,
     VOCAB_SIZE,
-    Token,
+    as_id,
     build_vocab,
     normalize_chord_symbol,
 )
@@ -324,6 +323,9 @@ class ControlSpec:
         """Build from the control-file schema (see README: control files)."""
         if not isinstance(doc, dict):
             raise ControlError("control document must be a JSON object")
+        unknown = sorted(doc.keys() - _CONTROL_KEYS)
+        if unknown:
+            raise ControlError(f"unknown control key(s) {unknown}")
         sections = None
         if doc.get("structure") is not None:
             if not isinstance(doc["structure"], list):
@@ -403,6 +405,13 @@ class ControlSpec:
 
 
 _NO_CONTROL = ControlSpec()
+
+# The keys of the control-file schema: what ``to_json`` writes and
+# ``from_json`` reads.
+_CONTROL_KEYS = frozenset(
+    ("genre", "bpm_level", "structure", "chords", "chord_schedule", "tracks", "forced_tracks",
+     "n_bars")
+)
 
 
 def compile_control(control: ControlSpec | None) -> ControlSpec:
@@ -675,15 +684,17 @@ def _close_bar(state: FsmState) -> None:
     state.last_drum = -1
 
 
-def _illegal(state: FsmState, token_id) -> Exception:
-    known = isinstance(token_id, (int, np.integer)) and 0 <= token_id < VOCAB_SIZE
-    name = build_vocab().render(token_id) if known else token_id  # else as given
+def _illegal(state: FsmState, token) -> Exception:
+    try:
+        name = build_vocab().render(as_id(token))
+    except ValueError:
+        name = token  # as given
     return ValueError(
         f"illegal transition: token {name} in state {state.describe()} (step {state.step})"
     )
 
 
-def update_state(rules: RuleSet, state: FsmState, token: Token | int) -> FsmState:
+def update_state(rules: RuleSet, state: FsmState, token: int) -> FsmState:
     """Advance ``state`` in place by ``token`` and return it.
 
     ``token`` is accepted only when it is in the grammar mask of
@@ -693,15 +704,17 @@ def update_state(rules: RuleSet, state: FsmState, token: Token | int) -> FsmStat
     test; any other token gets the full grammar check.  Any token outside
     the grammar mask, and every token in the terminal state, raises
     ValueError before anything is written, leaving ``state`` as it was.
-    An advance clears the offer.  An id may be any integer type, a NumPy
-    one included.
+    An advance clears the offer.  ``token`` is an integer id of any type,
+    a NumPy one included; a bool, or anything else that is not an integer
+    in 0..335, is an illegal transition.
     """
-    if isinstance(token, int):
+    if type(token) is int:
         token_id = token
-    elif hasattr(token, "__index__"):  # an integral id of another type, NumPy's say
-        token_id = operator.index(token)
     else:
-        token_id = build_vocab().id_of(token)
+        try:
+            token_id = as_id(token)
+        except ValueError:
+            raise _illegal(state, token) from None
     ph = state.phase
     if token_id < 0 or ph == PH_TERMINAL or not (
         state._offered >> token_id & 1

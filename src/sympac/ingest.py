@@ -19,6 +19,7 @@ from .errors import ParseError, ValidationError
 from .vocab import (
     BPM_EDGES,
     BPM_LABELS,
+    CHORDS,
     DRUM_KEY_MAX,
     DRUM_KEY_MIN,
     GENRES,
@@ -26,14 +27,11 @@ from .vocab import (
     MELODIC_TRACKS,
     N_STEPS,
     NO_CHORD,
-    ROOTS,
     SECTIONS,
 )
 
 # Annotation sources may spell this section label out in full.
 _SECTION_ALIASES = {"instrumental": "inst"}
-
-INGEST_CHORDS = tuple(f"{r}:{q}" for q in ("maj", "min") for r in ROOTS) + (NO_CHORD,)
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,7 +170,7 @@ def validate_song(song: AnnotatedSong) -> int:
     meter = _check_beats(song.beats)
     _check_spans(song.chords, "chords")
     for i, c in enumerate(song.chords):
-        if c.symbol not in INGEST_CHORDS:
+        if c.symbol not in CHORDS:
             raise ValidationError(f"chords[{i}]: unknown symbol {c.symbol!r}")
     _check_spans(song.sections, "sections")
     for i, s in enumerate(song.sections):
@@ -422,10 +420,9 @@ def quantize_to_grid(song: AnnotatedSong) -> GridSong:
 def render_annotations(song: GridSong, bpm: float) -> AnnotatedSong:
     """Render a GridSong back to absolute time at a constant tempo, in 4/4.
 
-    The output is a valid AnnotatedSong whenever the song's chords stay
-    within the annotation chord model (major/minor/N); its quantization
-    reproduces the musical content of ``song`` when ``bpm`` sits inside
-    a tempo bucket.
+    The output is a valid AnnotatedSong for any song of vocabulary chords
+    (``vocab.CHORDS``, N included); its quantization reproduces the
+    musical content of ``song`` when ``bpm`` sits inside a tempo bucket.
     """
     if bpm <= 0:
         raise ValueError("bpm must be positive")

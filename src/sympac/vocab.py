@@ -8,6 +8,7 @@ across runs and platforms.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,7 +57,6 @@ NO_CHORD = "N"
 
 TRACKS = ("vocal", "piano", "guitar", "bass", "drums")
 MELODIC_TRACKS = TRACKS[:4]
-DRUM_TRACK = "drums"
 
 N_STEPS = 16
 MAX_DURATION = 32
@@ -205,6 +205,20 @@ class Vocab:
 def build_vocab() -> Vocab:
     """The fixed 336-entry vocabulary, built once and shared."""
     return Vocab()
+
+
+def as_id(value) -> int:
+    """``value`` as a token id: an integer in 0..335 of any type, NumPy's
+    included, but not a bool.  Anything else raises ValueError."""
+    if type(value) is int:
+        token_id = value
+    elif not isinstance(value, bool) and hasattr(value, "__index__"):
+        token_id = operator.index(value)
+    else:
+        token_id = -1  # not an integer: fails the range test below
+    if not 0 <= token_id < VOCAB_SIZE:
+        raise ValueError(f"token ids must be integers in 0..{VOCAB_SIZE - 1}, got {value!r}")
+    return token_id
 
 
 def kind_of_id(token_id: int) -> str:

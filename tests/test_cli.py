@@ -610,3 +610,56 @@ def test_cli_import_leaves_scipy_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("records", [[[]], [[], []]])
+def test_train_on_a_corpus_without_tokens_exits_two_and_writes_nothing(tmp_path, capsys, records):
+    write_corpus(tmp_path / "c.bin", records)
+    out = tmp_path / "out" / "m.bin"
+    assert main(["train", "--corpus", str(tmp_path / "c.bin"), "--out", str(out)]) == 2
+    assert "corpus holds no tokens" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_perplexity_sample_skips_empty_records(tmp_path):
+    rng = np.random.default_rng(3)
+    write_corpus(tmp_path / "c.bin", [[]] * 20 + [encode_song(chord_following_song(rng))])
+    assert main(["train", "--corpus", str(tmp_path / "c.bin"), "--out", str(tmp_path / "m.bin")]) == 0
+    assert (tmp_path / "m.bin").exists()
+
+
+def test_evaluate_kld_on_an_empty_reference_exits_two_and_writes_nothing(trained, capsys):
+    from sympac.encoding import write_token_file
+
+    (trained / "gen").mkdir()
+    write_token_file(trained / "gen" / "s.tokens", read_corpus(trained / "corpus.bin")[0])
+    (trained / "empty.bin").write_bytes(b"")
+    rc = main([
+        "evaluate", "--generated", str(trained / "gen"), "--reference", str(trained / "empty.bin"),
+        "--which", "kld", "--out-dir", str(trained / "reports"),
+    ])
+    assert rc == 2
+    assert f"no token sequences in reference {trained / 'empty.bin'}" in capsys.readouterr().err
+    assert not (trained / "reports").exists()
+
+
+def test_a_misspelt_control_key_is_refused(trained, capsys):
+    (trained / "ctrl.json").write_text(json.dumps({"chord": ["F", "C"], "n_bars": 2}))
+    rc = main([
+        "generate", "--model", str(trained / "model.bin"),
+        "--out-dir", str(trained / "out"), "--control", str(trained / "ctrl.json"),
+    ])
+    assert rc == 1
+    assert "unknown control key(s) ['chord']" in capsys.readouterr().err
+    assert not (trained / "out").exists()
+
+
+def test_a_misspelt_key_in_a_config_control_object_is_refused(trained, capsys):
+    (trained / "cfg.json").write_text(json.dumps({"control": {"genre": "Pop", "bars": 2}}))
+    rc = main([
+        "--config", str(trained / "cfg.json"),
+        "generate", "--model", str(trained / "model.bin"), "--out-dir", str(trained / "out"),
+    ])
+    assert rc == 1
+    assert "unknown control key(s) ['bars']" in capsys.readouterr().err
+    assert not (trained / "out").exists()

@@ -17,7 +17,7 @@ from sympac.encoding import (
 )
 from sympac.errors import DecodeError, ParseError, SympacError
 from sympac.ingest import GridBar, GridNote, GridSong
-from sympac.vocab import EOP_ID, EOS_ID, build_vocab
+from sympac.vocab import BAR_ID, EOP_ID, EOS_ID, VOCAB_SIZE, build_vocab
 from synthcorpus import damaged, random_grid_song
 
 
@@ -256,3 +256,83 @@ def test_text_form_round_trip():
 def test_text_form_rejects_unknown_name():
     with pytest.raises(ParseError, match="line 1"):
         text_to_tokens("chord<H:maj>\n")
+
+
+# ---------------------------------------------------------------------------
+# One type per fact: a violation is a DecodeError, a token id passes one rule.
+
+def _agreement_streams():
+    rng = np.random.default_rng(41)
+    return [encode_song(random_grid_song(rng, max_bars=3)) for _ in range(12)]
+
+
+AGREEMENT_STREAMS = _agreement_streams()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_validate_returns_the_error_decode_sequence_raises(data):
+    """On damaged and single-token-mutant streams `validate` is empty
+    exactly when `decode_sequence` succeeds, and otherwise holds the error
+    it raises: the same index, message, expected kinds and text."""
+    seq = list(data.draw(st.sampled_from(AGREEMENT_STREAMS), label="stream"))
+    token = st.integers(0, VOCAB_SIZE - 1) | st.sampled_from(seq) | st.sampled_from(
+        [-1, VOCAB_SIZE, True, 2.0, np.int64(5)]
+    )
+    kind = data.draw(st.sampled_from(["cut", "overwrite", "substitute", "insert", "delete"]))
+    if kind == "cut":
+        seq = seq[: data.draw(st.integers(0, len(seq) - 1))]
+    elif kind == "overwrite":
+        for _ in range(data.draw(st.integers(1, 4))):
+            seq[data.draw(st.integers(0, len(seq) - 1))] = data.draw(token)
+    elif kind == "insert":
+        seq.insert(data.draw(st.integers(0, len(seq))), data.draw(token))
+    else:
+        at = data.draw(st.integers(0, len(seq) - 1))
+        if kind == "substitute":
+            seq[at] = data.draw(token)
+        else:
+            del seq[at]
+    found = validate(seq)
+    try:
+        decode_sequence(seq)
+    except DecodeError as error:
+        assert len(found) == 1
+        (entry,) = found
+        assert isinstance(entry, DecodeError)
+        assert (entry.index, entry.message, entry.expected, str(entry)) == (
+            error.index, error.message, error.expected, str(error)
+        )
+        assert str(entry) == f"token {entry.index}: {entry.message}"
+    else:
+        assert found == []
+
+
+def test_validate_reports_a_bool_id_outside_the_vocabulary():
+    (error,) = validate([BAR_ID, True])
+    assert error.index == 1 and error.message == "id True outside the vocabulary"
+    with pytest.raises(DecodeError, match="token 1: id True outside the vocabulary"):
+        decode_sequence([BAR_ID, True])
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.uint16, np.int32])
+def test_numpy_ids_pass_validate_decode_and_token_bytes(integer):
+    seq = encode_song(one_bar_song())
+    as_numpy = [integer(t) for t in seq]
+    assert validate(as_numpy) == []
+    assert decode_sequence(as_numpy) == decode_sequence(seq)
+    assert tokens_to_bytes(as_numpy) == tokens_to_bytes(seq)
+
+
+def test_token_record_bytes_are_pinned(tmp_path):
+    blob = tokens_to_bytes([0, 1, 335, 258])
+    assert blob == (
+        b"SYMPAC01" + b"\x04\x00\x00\x00\x00\x00\x00\x00" + b"\x00\x00\x01\x00\x4f\x01\x02\x01"
+    )
+    assert tokens_to_bytes([]) == b"SYMPAC01" + bytes(8)
+    path = tmp_path / "c.bin"
+    write_corpus(path, [[0, 1, 335, 258], [], [2]])
+    assert path.read_bytes() == blob + tokens_to_bytes([]) + tokens_to_bytes([2])
+    records = list(iter_corpus(path))
+    assert records == [[0, 1, 335, 258], [], [2]]
+    assert all(type(t) is int for record in records for t in record)

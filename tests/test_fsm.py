@@ -732,6 +732,17 @@ def test_replay_rejects_an_id_outside_the_vocabulary(token_id):
         update_state(RULES, state, token_id)
 
 
+@pytest.mark.parametrize("token", [True, False, np.bool_(True), 1.0, np.float64(0.0), "1", None])
+def test_update_state_rejects_a_bool_or_a_non_integer_in_place(token):
+    # After a bar header both bar (0) and end_of_prompt (1) are legal, so a
+    # bool taken as 0 or 1 would be accepted.
+    state = advance(HEADER)
+    assert {BAR_ID, EOP_ID} <= set(legal_ids(RULES, copy.copy(state)).tolist())
+    assert_rejected_in_place(state, token)
+    with pytest.raises(ValueError, match=rf"token {re.escape(str(token))} in state .*\(step 4\)$"):
+        update_state(RULES, state, token)
+
+
 def test_update_state_takes_the_numpy_ids_legal_ids_returns():
     state = initial_state()
     tokens = [BAR_ID]
@@ -786,3 +797,12 @@ def test_the_two_grammars_agree_on_single_token_mutants(data):
     else:
         del seq[at]
     assert (validate(seq) == []) == _replays_to_the_end(seq)
+
+
+def test_from_json_refuses_an_unknown_key_and_names_it():
+    with pytest.raises(ControlError, match=re.escape("unknown control key(s) ['bars', 'chord']")):
+        ControlSpec.from_json({"chord": ["F", "C"], "bars": 2, "n_bars": 2})
+    spec = ControlSpec.from_json(
+        {"genre": "Pop", "structure": [["verse", 2]], "chords": ["F", "C"], "tracks": ["piano"]}
+    )
+    assert ControlSpec.from_json(spec.to_json()) == spec

@@ -1,11 +1,13 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sympac.encoding import decode_sequence, encode_song
 from sympac.errors import ParseError, SympacError, ValidationError
 from sympac.ingest import (
     AnnotatedSong,
@@ -287,3 +289,23 @@ def test_beats_before_first_downbeat_are_dropped():
 
 def test_beat_event_is_plain_value():
     assert BeatEvent(0.0, 1) == BeatEvent(0.0, 1)
+
+
+@pytest.mark.parametrize("symbol", ["C:sus2", "F#:sus4", "G#:aug", "B:dim"])
+def test_an_annotation_of_any_vocabulary_quality_ingests_and_round_trips(symbol):
+    song = quantize_to_grid(parse_annotations(_doc(chords=[[0.0, 1.0, symbol], [1.0, 2.0, "A:min"]])))
+    assert song.bars[0].chords == [(0, symbol), (8, "A:min")]
+    assert decode_sequence(encode_song(song)) == song
+
+
+@pytest.mark.parametrize("symbol", ["H:maj", "C:maj7", "c:min", "C"])
+def test_a_chord_outside_the_vocabulary_is_rejected(symbol):
+    with pytest.raises(ValidationError, match=re.escape(f"chords[0]: unknown symbol {symbol!r}")):
+        parse_annotations(_doc(chords=[[0.0, 1.0, symbol]]))
+
+
+def test_quantize_idempotent_on_the_whole_chord_vocabulary():
+    rng = np.random.default_rng(24)
+    for _ in range(40):
+        g1 = quantize_to_grid(render_annotations(random_grid_song(rng), 115.0))
+        assert quantize_to_grid(render_annotations(g1, 115.0)) == g1

@@ -111,3 +111,19 @@ def test_normalize_chord_symbol(raw, expected):
 def test_normalize_rejects_garbage():
     with pytest.raises(ValueError):
         normalize_chord_symbol("H:maj")
+
+
+def test_as_id_takes_an_integer_of_any_type_in_the_vocabulary():
+    np = pytest.importorskip("numpy")
+    for value in (0, 335, np.int64(18), np.uint16(335), np.int8(0)):
+        token_id = v.as_id(value)
+        assert type(token_id) is int and token_id == value
+    for value in (np.bool_(True), np.float64(1.0), np.int64(-1)):
+        with pytest.raises(ValueError, match="token ids must be integers"):
+            v.as_id(value)
+
+
+@pytest.mark.parametrize("value", [True, False, -1, 336, 1.0, "1", None, [1], 2**70])
+def test_as_id_refuses_a_bool_a_non_integer_or_an_id_outside_the_vocabulary(value):
+    with pytest.raises(ValueError, match=r"token ids must be integers in 0\.\.335, got "):
+        v.as_id(value)
