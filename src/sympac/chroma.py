@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .ingest import GridBar, GridSong
-from .vocab import N_STEPS, NO_CHORD, ROOTS, chord_quality, chord_root_index
+from .vocab import N_STEPS, NO_CHORD, ROOTS, as_real, chord_quality, chord_root_index
 
 DEFAULT_THRESHOLD = 0.5
 _CLASSES = ("maj", "min")
@@ -42,19 +42,20 @@ class TemplateBank:
 
     @classmethod
     def from_json(cls, doc: dict) -> "TemplateBank":
-        """The bank a ``to_json`` document holds; keys other than ``maj``
-        and ``min``, such as the ``N`` of older files, are ignored."""
+        """The bank a ``to_json`` document holds, each entry passing
+        ``vocab.as_real``; keys other than ``maj`` and ``min`` are ignored."""
         if not isinstance(doc, dict):
             raise ValidationError("template bank must be a JSON object")
 
         def vec(key: str) -> np.ndarray:
-            values = doc.get(key)
-            if isinstance(values, list) and len(values) == 12:
-                if all(type(x) in (int, float) for x in values):
-                    with np.errstate(over="ignore"):  # an overflow is an inf norm, rejected below
-                        norm = float(np.linalg.norm(values))
-                    if 0 < norm < math.inf:  # false for a NaN or infinite entry too
-                        return np.asarray(values, dtype=float) / norm
+            try:
+                vector = np.array([as_real(x) for x in doc.get(key)], dtype=float)
+                with np.errstate(over="ignore"):  # an overflow is an inf norm, rejected below
+                    norm = float(np.linalg.norm(vector))
+                if len(vector) == 12 and 0 < norm < math.inf:  # false for a NaN entry too
+                    return vector / norm
+            except (TypeError, ValueError):  # not an array, or an entry not a real number
+                pass
             raise ValidationError(f"template {key!r} must be 12 finite numbers, not all zero")
 
         return cls(maj=vec("maj"), min=vec("min"))

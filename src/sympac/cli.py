@@ -58,7 +58,7 @@ from .structure import (
     song_tempo_bpm,
     structure_scores,
 )
-from .vocab import GENRES
+from .vocab import GENRES, as_real, as_whole
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -109,14 +109,6 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _whole(value) -> int:
-    """``int(value)`` for an integer or its string; a fraction or a boolean
-    raises ValueError rather than being rounded."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(value)
-    return int(value)
-
-
 def _exact(kind: type):
     """A converter that passes a ``kind`` value through and rejects any other."""
 
@@ -130,10 +122,10 @@ def _exact(kind: type):
 
 # Sampler settings and their converters, for config values and manifests alike.
 _SAMPLER_SETTINGS = {
-    "temperature": float,
-    "top_k": lambda value: None if value is None else _whole(value),
-    "top_p": lambda value: None if value is None else float(value),
-    "max_tokens": _whole,
+    "temperature": as_real,
+    "top_k": lambda value: None if value is None else as_whole(value),
+    "top_p": lambda value: None if value is None else as_real(value),
+    "max_tokens": as_whole,
 }
 
 
@@ -146,7 +138,7 @@ def _field(source: str, record: dict, key: str, convert):
     value = record[key]
     try:
         return convert(value)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError):
         raise _Usage(f"{source} {key!r} has a value of the wrong type: {value!r}") from None
 
 
@@ -233,7 +225,7 @@ def _cmd_ingest(args, config: dict) -> int:
     genre = _cfg(args, config, "genre", "Pop")
     if genre not in GENRES:
         raise _Usage(f"unknown genre {genre!r}")
-    jobs = _cfg(args, config, "jobs", 1, _whole)
+    jobs = _cfg(args, config, "jobs", 1, as_whole)
 
     results = _map_jobs(functools.partial(_ingest_or_reject, genre=genre), inputs, jobs)
 
@@ -264,8 +256,8 @@ def _cmd_ingest(args, config: dict) -> int:
 # train
 
 def _cmd_train(args, config: dict) -> int:
-    order = _cfg(args, config, "order", DEFAULT_ORDER, _whole)
-    discount = _cfg(args, config, "discount", DEFAULT_DISCOUNT, float)
+    order = _cfg(args, config, "order", DEFAULT_ORDER, as_whole)
+    discount = _cfg(args, config, "discount", DEFAULT_DISCOUNT, as_real)
     try:
         NgramModel(order, discount)
     except ValueError as exc:
@@ -353,8 +345,8 @@ def _cmd_generate(args, config: dict) -> int:
                 key: _field("manifest sampler", sampler, key, convert)
                 for key, convert in _SAMPLER_SETTINGS.items()
             }
-            n_samples = _field("manifest field", run, "n_samples", _whole)
-            seed = _field("manifest field", run, "seed", _whole)
+            n_samples = _field("manifest field", run, "n_samples", as_whole)
+            seed = _field("manifest field", run, "seed", as_whole)
             model_path = _field("manifest field", run, "model", _exact(str))
             recorded_sha256 = _field("manifest field", run, "model_sha256", _exact(str))
             write_midi = _field("manifest field", run, "midi", _exact(bool))
@@ -374,10 +366,10 @@ def _cmd_generate(args, config: dict) -> int:
             raise _Usage("--model is required (or --from-manifest)")
         model_path = args.model
         control = _control_from_args(args, config)
-        seed = _cfg(args, config, "seed", None, _whole)
+        seed = _cfg(args, config, "seed", None, as_whole)
         if seed is None:
             seed = _env_seed()
-        n_samples = _cfg(args, config, "n_samples", 1, _whole)
+        n_samples = _cfg(args, config, "n_samples", 1, as_whole)
         sampler_kwargs = {
             key: _cfg(args, config, key, getattr(SamplerConfig, key), convert)
             for key, convert in _SAMPLER_SETTINGS.items()
@@ -392,7 +384,7 @@ def _cmd_generate(args, config: dict) -> int:
     except (TypeError, ValueError) as exc:
         raise _Usage(f"sampler settings: {exc}") from None
 
-    jobs = _cfg(args, config, "jobs", 1, _whole)
+    jobs = _cfg(args, config, "jobs", 1, as_whole)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -458,7 +450,7 @@ def _cmd_evaluate(args, config: dict) -> int:
         raise _Usage(f"unknown evaluation(s): {', '.join(sorted(unknown))}")
     gen_dir = Path(args.generated)
     files = [str(f) for f in sorted(gen_dir.glob("*.tokens"))]
-    songs = _map_jobs(_decode_file, files, _cfg(args, config, "jobs", 1, _whole))
+    songs = _map_jobs(_decode_file, files, _cfg(args, config, "jobs", 1, as_whole))
     if not songs:
         print(f"no token files in {gen_dir}", file=sys.stderr)
         return EXIT_DATA

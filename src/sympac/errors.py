@@ -38,6 +38,9 @@ class DecodeError(SympacError):
         self.expected = expected
         super().__init__(f"token {index}: {message}")
 
+    def __reduce__(self):  # ``args`` holds only the text; pickle rebuilds from the fields
+        return type(self), (self.index, self.message, self.expected)
+
 
 class ControlError(SympacError):
     """A ControlSpec is internally inconsistent."""
@@ -58,6 +61,9 @@ class ConstraintConflictError(SympacError):
             f"step {step}: no legal token; grammar expects {grammar_expects}, "
             f"emptied by {control_desc}"
         )
+
+    def __reduce__(self):
+        return type(self), (self.step, self.grammar_expects, self.control_desc)
 
 
 class ModelFormatError(SympacError):

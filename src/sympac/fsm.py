@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -48,6 +49,7 @@ from .vocab import (
     TRACKS,
     VOCAB_SIZE,
     as_id,
+    as_whole,
     build_vocab,
     normalize_chord_symbol,
 )
@@ -108,15 +110,6 @@ def _canonical_chord(text) -> str:
         raise ControlError(str(exc)) from None
 
 
-def _whole(value) -> int:
-    """``value`` as an int when it is a whole number; ValueError otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(value)
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(value)
-    return int(value)
-
-
 def _track_bits(labels) -> int:
     """Bitmask over the tracks of the track names in ``labels``."""
     return sum(1 << TRACKS.index(label) for label in labels)
@@ -170,8 +163,9 @@ class ControlSpec:
 
     ``chords`` loops one chord per bar at step 0; ``chord_schedule``
     places chords explicitly as (bar, step, symbol) and pins the listed
-    bars to exactly those chords.  ``forced_tracks`` must appear in
-    every bar; ``allowed_tracks`` is the closed set a bar may use.
+    bars to exactly those chords.  ``forced_tracks`` must appear in every
+    bar; ``allowed_tracks`` is the closed set a bar may use.  A number is
+    stored as the int ``vocab.as_whole`` returns.
 
     Building a spec validates it and lowers it to what the masks read:
     ``genre_idx`` and ``bpm_idx`` (-1 when free), ``sec_ids`` and
@@ -192,16 +186,17 @@ class ControlSpec:
     def __post_init__(self):
         if self.genre is not None and self.genre not in GENRES:
             raise ControlError(f"unknown genre {self.genre!r}")
-        if self.bpm_level is not None:
-            if not isinstance(self.bpm_level, int) or isinstance(self.bpm_level, bool):
-                raise ControlError(f"bpm_level must be an integer, got {self.bpm_level!r}")
-            if not 0 <= self.bpm_level < len(BPM_LABELS):
-                raise ControlError(f"bpm_level must be 0..7, got {self.bpm_level}")
-        if self.n_bars is not None:
-            if not isinstance(self.n_bars, int) or isinstance(self.n_bars, bool):
-                raise ControlError(f"n_bars must be an integer, got {self.n_bars!r}")
-            if self.n_bars < 1:
-                raise ControlError(f"n_bars must be >= 1, got {self.n_bars}")
+        for name in ("bpm_level", "n_bars"):
+            value = getattr(self, name)
+            if value is not None:
+                try:
+                    object.__setattr__(self, name, as_whole(value))
+                except ValueError:
+                    raise ControlError(f"{name} must be an integer, got {value!r}") from None
+        if self.bpm_level is not None and not 0 <= self.bpm_level < len(BPM_LABELS):
+            raise ControlError(f"bpm_level must be 0..7, got {self.bpm_level}")
+        if self.n_bars is not None and self.n_bars < 1:
+            raise ControlError(f"n_bars must be >= 1, got {self.n_bars}")
         if self.sections is not None:
             object.__setattr__(self, "sections", tuple(self.sections))
             if not self.sections:
@@ -232,7 +227,7 @@ class ControlSpec:
             for entry in self.chord_schedule:
                 try:
                     bar, step, symbol = entry
-                    bar, step = _whole(bar), _whole(step)
+                    bar, step = as_whole(bar), as_whole(step)
                 except (TypeError, ValueError):
                     raise ControlError(
                         f"chord_schedule entries must be (bar, step, symbol) with whole "
@@ -326,45 +321,32 @@ class ControlSpec:
         unknown = sorted(doc.keys() - _CONTROL_KEYS)
         if unknown:
             raise ControlError(f"unknown control key(s) {unknown}")
-        sections = None
-        if doc.get("structure") is not None:
-            if not isinstance(doc["structure"], list):
-                raise ControlError("structure must be an array")
-            sections = []
-            for entry in doc["structure"]:
-                if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                    raise ControlError("structure entries must be [label, bars] pairs")
-                label, bars = entry
-                try:
-                    n = _whole(bars)
-                except ValueError:
-                    raise ControlError(f"bad bar count {bars!r} in structure") from None
-                sections += _section_run(label, n)
 
-        def entries(key: str) -> tuple | None:
+        def array(key: str) -> list | None:  # None when absent or null
             value = doc.get(key)
-            if not value:
-                return None
-            if not isinstance(value, list):
-                raise ControlError(f"{key} must be an array")
-            return tuple(value)
-
-        def tracks(key: str) -> list | None:
-            value = doc.get(key)
-            if value is None:
-                return None
-            if not isinstance(value, list):
+            if value is not None and not isinstance(value, list):
                 raise ControlError(f"{key} must be an array")
             return value
 
+        runs = array("structure")
+        sections = None if runs is None else []
+        for entry in runs or ():
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+                raise ControlError("structure entries must be [label, bars] pairs")
+            label, bars = entry
+            try:
+                n = as_whole(bars)
+            except ValueError:
+                raise ControlError(f"bad bar count {bars!r} in structure") from None
+            sections += _section_run(label, n)
         return cls(
             genre=doc.get("genre"),
             bpm_level=doc.get("bpm_level"),
             sections=sections,
-            chords=entries("chords"),
-            chord_schedule=entries("chord_schedule"),
-            allowed_tracks=tracks("tracks"),
-            forced_tracks=tracks("forced_tracks"),
+            chords=array("chords"),
+            chord_schedule=array("chord_schedule"),
+            allowed_tracks=array("tracks"),
+            forced_tracks=array("forced_tracks"),
             n_bars=doc.get("n_bars"),
         )
 
@@ -384,13 +366,7 @@ class ControlSpec:
         if self.bpm_level is not None:
             doc["bpm_level"] = self.bpm_level
         if self.sections is not None:
-            runs: list[list] = []
-            for label in self.sections:
-                if runs and runs[-1][0] == label:
-                    runs[-1][1] += 1
-                else:
-                    runs.append([label, 1])
-            doc["structure"] = runs
+            doc["structure"] = [[label, len(list(run))] for label, run in groupby(self.sections)]
         if self.chords is not None:
             doc["chords"] = list(self.chords)
         if self.chord_schedule is not None:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from .errors import ParseError, ValidationError
 from .vocab import (
     BPM_EDGES,
-    BPM_LABELS,
     CHORDS,
     DRUM_KEY_MAX,
     DRUM_KEY_MIN,
@@ -28,6 +27,8 @@ from .vocab import (
     N_STEPS,
     NO_CHORD,
     SECTIONS,
+    as_real,
+    as_whole,
 )
 
 # Annotation sources may spell this section label out in full.
@@ -200,19 +201,20 @@ def _field(doc: dict, key: str, default):
 
 
 def _parse_rows(doc: dict, key: str, types: tuple) -> list[tuple]:
-    """Rows of array ``key``, each value converted by its column's type."""
+    """Rows of array ``key``, each value passed through its column's rule."""
     raw = _field(doc, key, [])
     if not isinstance(raw, list):
         raise ParseError(f"{key}: expected an array")
     out = []
+    times = types.count(as_real)  # the time columns lead every row
     for i, row in enumerate(raw):
         if not isinstance(row, (list, tuple)) or len(row) != len(types):
             raise ParseError(f"{key}[{i}]: expected an array of {len(types)} values")
         try:
             values = tuple(convert(value) for convert, value in zip(types, row))
-        except (TypeError, ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise ParseError(f"{key}[{i}]: {exc}") from None
-        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+        if not all(map(math.isfinite, values[:times])):
             raise ParseError(f"{key}[{i}]: time values must be finite, got {list(values)}")
         out.append(values)
     return out
@@ -223,8 +225,9 @@ def parse_annotations(data: bytes | str) -> AnnotatedSong:
 
     Unknown top-level fields are ignored.  Bytes that are not UTF-8 and
     malformed JSON raise ParseError (the latter with line context), and
-    so does a row value that does not convert to its field's type or a
-    time that is not finite; invariant violations raise
+    so does a row value of the wrong kind: a time must pass
+    ``vocab.as_real`` and be finite, and a beat count, pitch or drum key
+    must pass ``vocab.as_whole``.  Invariant violations raise
     ValidationError naming the first offending element.
     """
     try:
@@ -243,15 +246,15 @@ def parse_annotations(data: bytes | str) -> AnnotatedSong:
     if not isinstance(genre, str):
         raise ParseError("genre: missing or not a string")
 
-    beats = [BeatEvent(*row) for row in _parse_rows(doc, "beats", (float, int))]
-    chords = [ChordSpan(*row) for row in _parse_rows(doc, "chords", (float, float, str))]
+    beats = [BeatEvent(*row) for row in _parse_rows(doc, "beats", (as_real, as_whole))]
+    chords = [ChordSpan(*row) for row in _parse_rows(doc, "chords", (as_real, as_real, str))]
     sections = [
         SectionSpan(s, e, _SECTION_ALIASES.get(lb, lb))
-        for s, e, lb in _parse_rows(doc, "sections", (float, float, str))
+        for s, e, lb in _parse_rows(doc, "sections", (as_real, as_real, str))
     ]
 
     def notes_of(key: str) -> list[NoteEvent]:
-        return [NoteEvent(*row) for row in _parse_rows(doc, key, (float, float, int))]
+        return [NoteEvent(*row) for row in _parse_rows(doc, key, (as_real, as_real, as_whole))]
 
     song = AnnotatedSong(
         source_id=str(source_id),
@@ -260,7 +263,7 @@ def parse_annotations(data: bytes | str) -> AnnotatedSong:
         chords=chords,
         sections=sections,
         notes={label: notes_of(label) for label in MELODIC_TRACKS},
-        drum_hits=[DrumHit(*row) for row in _parse_rows(doc, "drums", (float, int))],
+        drum_hits=[DrumHit(*row) for row in _parse_rows(doc, "drums", (as_real, as_whole))],
     )
     validate_song(song)
     return song

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Protocol, Sequence
 import numpy as np
 
 from .errors import ModelFormatError
-from .vocab import VOCAB_SIZE
+from .vocab import VOCAB_SIZE, as_real, as_whole
 
 MODEL_MAGIC = b"SYMLM001"
 DEFAULT_ORDER = 5
@@ -56,9 +56,11 @@ class UniformModel:
 
 
 class NgramModel:
-    """Interpolated absolute-discount n-gram model over the 336-token vocabulary."""
+    """Interpolated absolute-discount n-gram model over the 336-token vocabulary.
+    ``order`` passes ``vocab.as_whole`` and ``discount`` ``vocab.as_real``."""
 
     def __init__(self, order: int, discount: float = DEFAULT_DISCOUNT):
+        order, discount = as_whole(order), as_real(discount)
         if not 1 <= order <= MAX_ORDER:
             raise ValueError(f"order must be 1..{MAX_ORDER}, got {order}")
         if not 0.0 < discount < 1.0:
@@ -152,7 +154,7 @@ def train_ngram(
     seqs = list(corpus)
     if not seqs:
         raise ValueError("training corpus is empty")
-    model._add(_count_windows(seqs, order))
+    model._add(_count_windows(seqs, model.order))
     return model
 
 

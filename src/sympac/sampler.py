@@ -25,7 +25,7 @@ from .fsm import (
     update_state,
 )
 from .lm import NextTokenModel
-from .vocab import BAR_ID
+from .vocab import BAR_ID, as_real, as_whole
 
 
 # model -> {(temperature, top_k, top_p): {(id(scores), id(ids)): (weak
@@ -45,7 +45,8 @@ _DRAW_BLOCK = 256
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Sampling hyperparameters; output is reproducible from the seed."""
+    """Sampling hyperparameters; output is reproducible from the seed.  Each
+    is stored as the int ``vocab.as_whole`` or float ``vocab.as_real`` returns."""
 
     temperature: float = 1.0
     top_k: int | None = None
@@ -54,22 +55,24 @@ class SamplerConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("top_k", "max_tokens", "rng_seed"):
+        for name, rule, legal, bound in (
+            ("temperature", as_real, lambda t: t > 0, "positive"),  # a NaN fails the test too
+            ("top_k", as_whole, lambda k: k >= 1, ">= 1"),
+            ("top_p", as_real, lambda p: 0 < p <= 1, "in (0, 1]"),
+            ("max_tokens", as_whole, lambda n: n >= 2, ">= 2"),
+            ("rng_seed", as_whole, lambda s: s >= 0, ">= 0"),
+        ):
             value = getattr(self, name)
-            if value is None and name == "top_k":
+            if value is None and name in ("top_k", "top_p"):
                 continue
-            if isinstance(value, bool) or not hasattr(value, "__index__"):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not self.temperature > 0:  # NaN fails this test too
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if self.top_k is not None and self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        if self.top_p is not None and not 0 < self.top_p <= 1:
-            raise ValueError("top_p must be in (0, 1]")
-        if self.max_tokens < 2:
-            raise ValueError("max_tokens must be >= 2")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
+            try:
+                number = rule(value)
+            except ValueError:
+                kind = "an integer" if rule is as_whole else "a real number"
+                raise ValueError(f"{name} must be {kind}, got {value!r}") from None
+            if not legal(number):
+                raise ValueError(f"{name} must be {bound}, got {number}")
+            object.__setattr__(self, name, number)
 
 
 @dataclass(slots=True)

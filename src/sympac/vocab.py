@@ -8,7 +8,7 @@ across runs and platforms.
 
 from __future__ import annotations
 
-import operator
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -207,15 +207,32 @@ def build_vocab() -> Vocab:
     return Vocab()
 
 
+def as_whole(value) -> int:
+    """``value`` as a Python int: an integer of any type, NumPy's included, or
+    an integral float of any type.  Anything else, a bool too, raises ValueError."""
+    if type(value) is int:
+        return value
+    real = isinstance(value, numbers.Real) and type(value) is not bool
+    if not (real and float(value).is_integer()):  # false for a NaN or an infinity too
+        raise ValueError(f"not a whole number: {value!r}")
+    return int(value)
+
+
+def as_real(value) -> float:
+    """``value`` as a Python float: an int or a float of any type, NumPy's
+    included, but not a bool.  Anything else raises ValueError."""
+    if not (type(value) is float or (isinstance(value, numbers.Real) and type(value) is not bool)):
+        raise ValueError(f"not a real number: {value!r}")
+    return float(value)
+
+
 def as_id(value) -> int:
     """``value`` as a token id: an integer in 0..335 of any type, NumPy's
-    included, but not a bool.  Anything else raises ValueError."""
-    if type(value) is int:
-        token_id = value
-    elif not isinstance(value, bool) and hasattr(value, "__index__"):
-        token_id = operator.index(value)
-    else:
-        token_id = -1  # not an integer: fails the range test below
+    included, but never a bool or a float.  Anything else raises ValueError."""
+    token_id = value
+    if type(value) is not int:
+        integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        token_id = int(value) if integer else -1  # -1 fails the range test below
     if not 0 <= token_id < VOCAB_SIZE:
         raise ValueError(f"token ids must be integers in 0..{VOCAB_SIZE - 1}, got {value!r}")
     return token_id

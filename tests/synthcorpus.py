@@ -118,16 +118,13 @@ def chord_corpus(rng: np.random.Generator, n_songs: int) -> list[GridSong]:
     return [chord_following_song(rng) for _ in range(n_songs)]
 
 
-def random_grid_song(
-    rng: np.random.Generator, max_bars: int = 6, ingest_chords_only: bool = False
-) -> GridSong:
+def random_grid_song(rng: np.random.Generator, max_bars: int = 6) -> GridSong:
     """A random canonical GridSong exercising the full value ranges."""
-    chord_pool = CHORDS[:24] + ("N",) if ingest_chords_only else CHORDS
     bars = []
     for _ in range(int(rng.integers(1, max_bars + 1))):
         n_chords = int(rng.integers(0, 5))
         steps = sorted(rng.choice(16, size=n_chords, replace=False).tolist())
-        chords = [(int(s), chord_pool[int(rng.integers(len(chord_pool)))]) for s in steps]
+        chords = [(int(s), CHORDS[int(rng.integers(len(CHORDS)))]) for s in steps]
         tracks = {}
         for label in MELODIC_TRACKS:
             if rng.random() < 0.6:

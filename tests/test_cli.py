@@ -47,7 +47,7 @@ def test_ingest_reports_rejects_but_succeeds(workspace, capsys):
 
 def test_ingest_rejects_a_non_finite_time_and_keeps_the_rest(workspace, capsys):
     doc = json.loads((workspace / "song0.json").read_text())
-    doc["vocal"][0][0] = "nan"
+    doc["vocal"][0][0] = float("nan")  # written as JSON NaN
     (workspace / "bad.json").write_text(json.dumps(doc))
     good = str(workspace / "song1.json")
     rc = main(["ingest", str(workspace / "bad.json"), good, "--out", str(workspace / "c.bin")])
@@ -58,7 +58,7 @@ def test_ingest_rejects_a_non_finite_time_and_keeps_the_rest(workspace, capsys):
 
 
 def test_ingest_reads_jobs_from_a_config_file_like_the_other_commands(workspace):
-    (workspace / "cfg.json").write_text(json.dumps({"jobs": "1"}))
+    (workspace / "cfg.json").write_text(json.dumps({"jobs": 1}))
     argv = ["--config", str(workspace / "cfg.json"), "ingest", str(workspace / "song0.json")]
     assert main([*argv, "--out", str(workspace / "c.bin")]) == 0
 
@@ -544,10 +544,22 @@ _CORRUPT_RUNS = [
     ("sampler.temperature", "hot", "'temperature'"),
     ("sampler.max_tokens", None, "'max_tokens'"),
     ("sampler.rng_seed", 4, "'rng_seed'"),
+    # a number written as a string is not a number
+    ("seed", "2", "'seed'"),
+    ("sampler.max_tokens", "20000", "'max_tokens'"),
 ]
 
 
-@pytest.mark.parametrize("field,value,named", _CORRUPT_RUNS, ids=[c[0] for c in _CORRUPT_RUNS])
+def _case_ids(cases) -> list[str]:
+    """Each case's field, with its value added when an earlier case has that field."""
+    seen, ids = set(), []
+    for field, value, _ in cases:
+        ids.append(f"{field}={value!r}" if field in seen else field)
+        seen.add(field)
+    return ids
+
+
+@pytest.mark.parametrize("field,value,named", _CORRUPT_RUNS, ids=_case_ids(_CORRUPT_RUNS))
 def test_corrupt_manifest_exits_one(trained, capsys, field, value, named):
     manifest = _recorded_manifest(trained)
     *parents, key = field.split(".")
@@ -589,11 +601,11 @@ def test_negative_seed_exits_one_and_writes_nothing(trained, monkeypatch, capsys
 
 def test_manifest_values_convert_like_config_values(trained):
     manifest = _recorded_manifest(trained)
-    manifest["run"].update(seed="2", n_samples=1.0)
-    manifest["run"]["sampler"]["max_tokens"] = str(manifest["run"]["sampler"]["max_tokens"])
-    (trained / "strings.json").write_text(json.dumps(manifest))
+    manifest["run"].update(seed=2.0, n_samples=1.0)
+    manifest["run"]["sampler"]["max_tokens"] = float(manifest["run"]["sampler"]["max_tokens"])
+    (trained / "floats.json").write_text(json.dumps(manifest))
     assert main([
-        "generate", "--from-manifest", str(trained / "strings.json"),
+        "generate", "--from-manifest", str(trained / "floats.json"),
         "--out-dir", str(trained / "again"),
     ]) == 0
     again = json.loads((trained / "again" / "manifest.json").read_text())
@@ -662,4 +674,31 @@ def test_a_misspelt_key_in_a_config_control_object_is_refused(trained, capsys):
     ])
     assert rc == 1
     assert "unknown control key(s) ['bars']" in capsys.readouterr().err
+    assert not (trained / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "control, named",
+    [
+        ({"chords": 0}, "chords must be an array"),
+        ({"chords": ""}, "chords must be an array"),
+        ({"chords": []}, "chords must be non-empty"),
+        ({"chord_schedule": []}, "chord_schedule must be non-empty"),
+        ({"structure": []}, "sections must be non-empty"),
+        ({"tracks": "piano"}, "tracks must be an array"),
+    ],
+    ids=["chords-0", "chords-empty-string", "chords-empty", "chord_schedule-empty",
+         "structure-empty", "tracks-string"],
+)
+def test_an_empty_or_mistyped_control_array_exits_one_and_writes_nothing(
+    trained, capsys, control, named
+):
+    (trained / "ctrl.json").write_text(json.dumps(control))
+    capsys.readouterr()
+    rc = main([
+        "generate", "--model", str(trained / "model.bin"),
+        "--out-dir", str(trained / "out"), "--control", str(trained / "ctrl.json"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"control error: {named}")
     assert not (trained / "out").exists()

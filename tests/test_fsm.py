@@ -806,3 +806,29 @@ def test_from_json_refuses_an_unknown_key_and_names_it():
         {"genre": "Pop", "structure": [["verse", 2]], "chords": ["F", "C"], "tracks": ["piano"]}
     )
     assert ControlSpec.from_json(spec.to_json()) == spec
+
+
+_ARRAY_KEYS = ("structure", "chords", "chord_schedule", "tracks", "forced_tracks")
+
+
+@pytest.mark.parametrize("key", _ARRAY_KEYS)
+def test_an_absent_or_null_control_array_leaves_its_control_free(key):
+    assert ControlSpec.from_json({key: None}) == ControlSpec.from_json({}) == ControlSpec()
+
+
+@pytest.mark.parametrize("value", [0, "", 5, "F", {"F": 1}, True])
+@pytest.mark.parametrize("key", _ARRAY_KEYS)
+def test_a_control_array_of_another_type_is_refused(key, value):
+    with pytest.raises(ControlError, match=f"{key} must be an array"):
+        ControlSpec.from_json({key: value})
+
+
+@pytest.mark.parametrize("key", ["structure", "chords", "chord_schedule"])
+def test_an_empty_control_array_is_refused(key):
+    with pytest.raises(ControlError, match="non-empty"):
+        ControlSpec.from_json({key: []})
+
+
+def test_an_empty_track_list_is_legal():
+    assert ControlSpec.from_json({"tracks": []}).allowed_tracks == frozenset()
+    assert ControlSpec.from_json({"forced_tracks": []}).forced_tracks == frozenset()

@@ -68,9 +68,11 @@ def test_parse_malformed_json_reports_line():
         (_doc(beats=[["x", 1]]), r"beats\[0\]"),
         (_doc(vocal=[[0.0, 1.0, None]]), r"vocal\[0\]"),
         ('{"genre": "Pop", "drums": [[0.0, 1e400]]}', r"drums\[0\]"),
-        (_doc(vocal=[["nan", 1.0, 60]]), r"vocal\[0\].*finite"),
-        (_doc(beats=[[0.0, 1], ["inf", 2]]), r"beats\[1\].*finite"),
-        (_doc(beats=[[0.0, 1], [0.5, 2], ["nan", 3]]), r"beats\[2\].*finite"),
+        (_doc(vocal=[[math.nan, 1.0, 60]]), r"vocal\[0\].*finite"),
+        (_doc(beats=[[0.0, 1], [math.inf, 2]]), r"beats\[1\].*finite"),
+        (_doc(beats=[[0.0, 1], [0.5, 2], [math.nan, 3]]), r"beats\[2\].*finite"),
+        (_doc(vocal=[["nan", 1.0, 60]]), r"vocal\[0\].*not a real number"),
+        (_doc(beats=[[0.0, 1], ["inf", 2]]), r"beats\[1\].*not a real number"),
         ('{"genre": "Pop", "chords": [[0.0, Infinity, "C:maj"]]}', r"chords\[0\].*finite"),
         ('{"genre": "Pop", "drums": [[NaN, 36]]}', r"drums\[0\].*finite"),
         (b"\xff", "not UTF-8"),
@@ -247,7 +249,7 @@ def test_quantize_idempotent_on_its_image():
     rng = np.random.default_rng(23)
     for _ in range(40):
         tempo = float(rng.uniform(112, 118))  # interior of bucket [110,120)
-        g1 = quantize_to_grid(render_annotations(random_grid_song(rng, ingest_chords_only=True), tempo))
+        g1 = quantize_to_grid(render_annotations(random_grid_song(rng), tempo))
         g2 = quantize_to_grid(render_annotations(g1, tempo))
         assert g2 == g1
 

@@ -136,3 +136,36 @@ def test_perfbench_calls_fit_sympac_signatures():
     # guards the check against passing because it found nothing
     assert {"sympac.fsm.initial_state", "sympac.fsm.compile_control"} <= checked, sorted(checked)
     assert not misfits, misfits
+
+
+# Patch targets perfbench knows are gone; their spans read 0 until the
+# benchmark is retargeted (ROADMAP item 3).
+_STALE_TARGETS = {("sympac.sampler", "get_sub_vocab"), ("sympac.sampler", "renormalize")}
+
+
+def _patch_targets() -> set[tuple[str, str]]:
+    """(module, attribute) of every ``(module, "attr", "span", ...)`` tuple in
+    perfbench whose module is a sympac module: what ``tracing.patched``
+    wraps, and skips without a word when the attribute is missing."""
+    targets = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        _, modules = _imports(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Tuple) or len(node.elts) < 3:
+                continue
+            module, attr, span = node.elts[:3]
+            if (
+                isinstance(module, ast.Name) and module.id in modules
+                and all(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in (attr, span))
+            ):
+                targets.add((modules[module.id], attr.value))
+    return targets
+
+
+def test_perfbench_patch_targets_exist_but_the_known_stale_ones():
+    targets = _patch_targets()
+    # guards the check against passing because it found nothing
+    assert ("sympac.cli", "parse_annotations") in targets and len(targets) >= 20, sorted(targets)
+    missing = {(module, attr) for module, attr in targets if not hasattr(_lookup(module), attr)}
+    assert missing == _STALE_TARGETS, f"perfbench patches {sorted(missing - _STALE_TARGETS)}"
