@@ -10,6 +10,7 @@ error, 3 constraint conflict.
 from __future__ import annotations
 
 import argparse
+import collections
 import concurrent.futures
 import dataclasses
 import functools
@@ -32,11 +33,7 @@ from .encoding import (
     validate,
     write_corpus,
 )
-from .errors import (
-    ConstraintConflictError,
-    ControlError,
-    SympacError,
-)
+from .errors import ConstraintConflictError, ControlError, DecodeError, SympacError
 from .fsm import ControlSpec, build_rules, parse_chords_arg, parse_structure_arg
 from .ingest import parse_annotations, quantize_to_grid
 from .lm import (
@@ -58,7 +55,7 @@ from .structure import (
     song_tempo_bpm,
     structure_scores,
 )
-from .vocab import GENRES, as_real, as_whole
+from .vocab import GENRES, as_real, as_whole, parse_real, parse_whole
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -83,16 +80,6 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _env_seed() -> int:
-    raw = os.environ.get("SYMPAC_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise _Usage(f"SYMPAC_SEED must be an integer, got {raw!r}") from None
-
-
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -114,45 +101,83 @@ def _exact(kind: type):
 
     def convert(value):
         if not isinstance(value, kind):
-            raise TypeError(value)
+            raise TypeError(f"not a {kind.__name__}: {value!r}")
         return value
 
+    convert.__name__ = kind.__name__
     return convert
 
 
-# Sampler settings and their converters, for config values and manifests alike.
-_SAMPLER_SETTINGS = {
-    "temperature": as_real,
-    "top_k": lambda value: None if value is None else as_whole(value),
-    "top_p": lambda value: None if value is None else as_real(value),
-    "max_tokens": as_whole,
-}
+# One row per setting: its key, flags, the commands taking them, its rule for a JSON value
+# (None: no config file sets it; a null stands for a None default) and for text, its default,
+# the manifest record holding it, its help, and an environment variable read after the config.
+_Setting = collections.namedtuple(
+    "_Setting", "key flags commands json text default manifest help env", defaults=(None,))
 
+_SETTINGS = {setting.key: setting for setting in (
+    _Setting("genre", ("--genre",), ("ingest", "generate"), _exact(str), str, "Pop", None,
+             "generate: the genre control; ingest: the genre of MIDI imports"),
+    _Setting("jobs", ("--jobs",), ("ingest", "generate", "evaluate"), as_whole, parse_whole, 1,
+             None, "worker processes, at most one per item and per CPU"),
+    _Setting("order", ("--order",), ("train",), as_whole, parse_whole, DEFAULT_ORDER, None,
+             "n-gram order"),
+    _Setting("discount", ("--discount",), ("train",), as_real, parse_real, DEFAULT_DISCOUNT, None,
+             "absolute discount"),
+    _Setting("seed", ("--seed",), ("generate",), as_whole, parse_whole, SamplerConfig.rng_seed,
+             "run", "base RNG seed, else env SYMPAC_SEED", "SYMPAC_SEED"),
+    _Setting("n_samples", ("-n", "--n-samples"), ("generate",), as_whole, parse_whole, 1, "run",
+             "number of samples"),
+    _Setting("control", ("--control",), ("generate",), _exact(dict), str, None, None,
+             "ControlSpec JSON file"),
+    _Setting("temperature", ("--temperature",), ("generate",), as_real, parse_real,
+             SamplerConfig.temperature, "sampler", "sampling temperature"),
+    _Setting("top_k", ("--top-k",), ("generate",), as_whole, parse_whole, SamplerConfig.top_k,
+             "sampler", "sample from the k likeliest legal tokens"),
+    _Setting("top_p", ("--top-p",), ("generate",), as_real, parse_real, SamplerConfig.top_p,
+             "sampler", "sample from the likeliest legal tokens holding this mass"),
+    _Setting("max_tokens", ("--max-tokens",), ("generate",), as_whole, parse_whole,
+             SamplerConfig.max_tokens, "sampler", "token budget of a sample"),
+    _Setting("bars", ("--bars",), ("generate",), None, parse_whole, None, None,
+             "number of bars to generate"),
+    _Setting("bpm_level", ("--bpm-level",), ("generate",), None, parse_whole, None, None,
+             "tempo bucket 0..7"),
+)}
 
 # Every key some command reads; one config file may serve them all.
-_CONFIG_KEYS = {"genre", "jobs", "order", "discount", "seed", "n_samples", "control", *_SAMPLER_SETTINGS}
+_CONFIG_KEYS = {key for key, setting in _SETTINGS.items() if setting.json is not None}
+# The manifest record, ``run`` or ``sampler``, that holds each setting it records.
+_RECORDED = {key: setting.manifest for key, setting in _SETTINGS.items() if setting.manifest}
 
 
-def _field(source: str, record: dict, key: str, convert):
-    """``convert(record[key])``; a value it cannot convert is a usage error."""
-    value = record[key]
+def _checked(rule, value, name: str):
+    """``rule(value)``; a value the rule refuses is a usage error that names
+    ``name``: the flag, variable or field that gave it."""
     try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise _Usage(f"{source} {key!r} has a value of the wrong type: {value!r}") from None
+        return rule(value)
+    except (TypeError, ValueError) as exc:
+        raise _Usage(f"{name}: {exc}") from None
 
 
-def _cfg(args, config: dict, key: str, default, convert=None):
-    """Explicit flag wins, then config file, then the built-in default.
+def _field(source: str, record: dict, key: str, convert=None):
+    """``convert(record[key])``, by default the JSON rule of setting ``key``."""
+    value = record[key]
+    if convert is None:
+        if value is None and _SETTINGS[key].default is None:
+            return None
+        convert = _SETTINGS[key].json
+    return _checked(convert, value, f"{source} {key!r}")
 
-    A config value goes through ``convert``; one it cannot convert is a
-    usage error."""
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if key not in config:
-        return default
-    return config[key] if convert is None else _field("config", config, key, convert)
+
+def _setting(args, config: dict, key: str):
+    """Explicit flag wins, then config file, then environment, then the built-in default."""
+    setting = _SETTINGS[key]
+    if getattr(args, key, None) is not None:
+        return getattr(args, key)
+    if key in config:
+        return _field("config", config, key)
+    if setting.env is None or setting.env not in os.environ:
+        return setting.default
+    return _checked(setting.text, os.environ[setting.env], setting.env)
 
 
 def _gather_inputs(paths: list[str]) -> list[Path]:
@@ -173,12 +198,16 @@ def _gather_inputs(paths: list[str]) -> list[Path]:
 
 
 def _map_jobs(fn, items, jobs: int, initializer=None, initargs=()) -> list:
-    """``[fn(item) for item in items]``, spread over ``jobs`` worker
-    processes when ``jobs`` > 1.  ``initializer(*initargs)`` runs first in
-    every process that calls ``fn``: each worker, or this one."""
-    if jobs > 1:
+    """``[fn(item) for item in items]`` over ``min(jobs, len(items), os.cpu_count()
+    or 1)`` worker processes when that is over 1, as the results do not depend on
+    the worker count; ``jobs`` < 1 is a usage error.  ``initializer(*initargs)``
+    runs first in every process that calls ``fn``: each worker, or this one."""
+    if jobs < 1:
+        raise _Usage(f"jobs must be at least 1, got {jobs}")
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=jobs, initializer=initializer, initargs=initargs
+            max_workers=workers, initializer=initializer, initargs=initargs
         ) as pool:
             return list(pool.map(fn, items))
     if initializer is not None:
@@ -222,12 +251,11 @@ def _cmd_ingest(args, config: dict) -> int:
     inputs = _gather_inputs(args.inputs)
     if not inputs:
         raise _Usage("no input files found")
-    genre = _cfg(args, config, "genre", "Pop")
+    genre = _setting(args, config, "genre")
     if genre not in GENRES:
         raise _Usage(f"unknown genre {genre!r}")
-    jobs = _cfg(args, config, "jobs", 1, as_whole)
-
-    results = _map_jobs(functools.partial(_ingest_or_reject, genre=genre), inputs, jobs)
+    ingest = functools.partial(_ingest_or_reject, genre=genre)
+    results = _map_jobs(ingest, inputs, _setting(args, config, "jobs"))
 
     sequences: list[list[int]] = []
     failures = 0
@@ -256,8 +284,8 @@ def _cmd_ingest(args, config: dict) -> int:
 # train
 
 def _cmd_train(args, config: dict) -> int:
-    order = _cfg(args, config, "order", DEFAULT_ORDER, as_whole)
-    discount = _cfg(args, config, "discount", DEFAULT_DISCOUNT, as_real)
+    order = _setting(args, config, "order")
+    discount = _setting(args, config, "discount")
     try:
         NgramModel(order, discount)
     except ValueError as exc:
@@ -282,28 +310,18 @@ def _cmd_train(args, config: dict) -> int:
 # generate
 
 def _control_from_args(args, config: dict) -> ControlSpec:
-    if getattr(args, "control", None):
-        spec = ControlSpec.from_file(args.control)
-    else:
-        spec = ControlSpec.from_json(config.get("control", {}))
-    updates: dict = {}
-    if getattr(args, "chords", None):
-        updates["chords"] = parse_chords_arg(args.chords)
-    if getattr(args, "structure", None):
-        updates["sections"] = parse_structure_arg(args.structure)
-    if getattr(args, "genre", None):
-        updates["genre"] = args.genre
-    if getattr(args, "bpm_level", None) is not None:
-        updates["bpm_level"] = args.bpm_level
-    if getattr(args, "tracks", None):
-        updates["allowed_tracks"] = frozenset(t.strip() for t in args.tracks.split(","))
-    if getattr(args, "forced_tracks", None):
-        updates["forced_tracks"] = frozenset(
-            t.strip() for t in args.forced_tracks.split(",")
-        )
-    if getattr(args, "bars", None) is not None:
-        updates["n_bars"] = args.bars
-    return dataclasses.replace(spec, **updates)
+    control = _setting(args, config, "control")  # a file's path, or a config object
+    spec = ControlSpec.from_file(control) if isinstance(control, str) else ControlSpec.from_json(control or {})
+    flags = {  # an empty text flag leaves its control as the file or config has it
+        "chords": args.chords and parse_chords_arg(args.chords),
+        "sections": args.structure and parse_structure_arg(args.structure),
+        "genre": args.genre,
+        "bpm_level": args.bpm_level,
+        "allowed_tracks": args.tracks and frozenset(t.strip() for t in args.tracks.split(",")),
+        "forced_tracks": args.forced_tracks and frozenset(t.strip() for t in args.forced_tracks.split(",")),
+        "n_bars": args.bars,
+    }
+    return dataclasses.replace(spec, **{field: v for field, v in flags.items() if v not in (None, "")})
 
 
 # What `generate` samples with in this process, set once by _gen_init (the
@@ -338,15 +356,10 @@ def _cmd_generate(args, config: dict) -> int:
                 manifest = json.load(fh)
             run = manifest["run"]
             control = ControlSpec.from_json({} if run["control"] is None else run["control"])
-            sampler = _field("manifest field", run, "sampler", _exact(dict))
-            if sampler.keys() != _SAMPLER_SETTINGS.keys():
-                raise KeyError(f"sampler keys {sorted(sampler)} are not {list(_SAMPLER_SETTINGS)}")
-            sampler_kwargs = {
-                key: _field("manifest sampler", sampler, key, convert)
-                for key, convert in _SAMPLER_SETTINGS.items()
-            }
-            n_samples = _field("manifest field", run, "n_samples", as_whole)
-            seed = _field("manifest field", run, "seed", as_whole)
+            records = {"run": run, "sampler": _field("manifest field", run, "sampler", _exact(dict))}
+            if records["sampler"].keys() != {k for k, r in _RECORDED.items() if r == "sampler"}:
+                raise KeyError(f"sampler keys {sorted(records['sampler'])} are not the sampler settings")
+            values = {key: _field(f"manifest {r}", records[r], key) for key, r in _RECORDED.items()}
             model_path = _field("manifest field", run, "model", _exact(str))
             recorded_sha256 = _field("manifest field", run, "model_sha256", _exact(str))
             write_midi = _field("manifest field", run, "midi", _exact(bool))
@@ -366,17 +379,11 @@ def _cmd_generate(args, config: dict) -> int:
             raise _Usage("--model is required (or --from-manifest)")
         model_path = args.model
         control = _control_from_args(args, config)
-        seed = _cfg(args, config, "seed", None, as_whole)
-        if seed is None:
-            seed = _env_seed()
-        n_samples = _cfg(args, config, "n_samples", 1, as_whole)
-        sampler_kwargs = {
-            key: _cfg(args, config, key, getattr(SamplerConfig, key), convert)
-            for key, convert in _SAMPLER_SETTINGS.items()
-        }
-        write_midi = bool(args.midi)
-        write_text = bool(args.text)
+        values = {key: _setting(args, config, key) for key in _RECORDED}
+        write_midi, write_text = args.midi, args.text
         model_sha256 = _sha256(Path(model_path))
+    seed, n_samples = values["seed"], values["n_samples"]
+    sampler_kwargs = {key: values[key] for key, record in _RECORDED.items() if record == "sampler"}
     if n_samples < 1:
         raise _Usage(f"the sample count must be at least 1, got {n_samples}")
     try:
@@ -384,13 +391,11 @@ def _cmd_generate(args, config: dict) -> int:
     except (TypeError, ValueError) as exc:
         raise _Usage(f"sampler settings: {exc}") from None
 
-    jobs = _cfg(args, config, "jobs", 1, as_whole)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     run_args = (str(model_path), control, sampler_kwargs)
     seeds = range(seed, seed + n_samples)
-    results = _map_jobs(_gen_worker, seeds, jobs, _gen_init, run_args)
+    results = _map_jobs(_gen_worker, seeds, _setting(args, config, "jobs"), _gen_init, run_args)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     outputs = []
     truncated_count = 0
@@ -420,8 +425,7 @@ def _cmd_generate(args, config: dict) -> int:
             "model_sha256": model_sha256,
             "control": control.to_json() or None,
             "sampler": sampler_kwargs,
-            "seed": seed,
-            "n_samples": n_samples,
+            **{key: values[key] for key, record in _RECORDED.items() if record == "run"},
             "midi": write_midi,
             "text": write_text,
         },
@@ -439,8 +443,16 @@ def _cmd_generate(args, config: dict) -> int:
 # ---------------------------------------------------------------------------
 # evaluate
 
+def _decode(seq: list[int], where: str, source_id: str):
+    """``decode_sequence``, whose error names ``where`` the sequence was read."""
+    try:
+        return decode_sequence(seq, source_id=source_id)
+    except DecodeError as exc:
+        raise DecodeError(exc.index, exc.message, exc.expected, where) from None
+
+
 def _decode_file(file: str):
-    return decode_sequence(read_token_file(file), source_id=Path(file).stem)
+    return _decode(read_token_file(file), f"{file}[0]", Path(file).stem)
 
 
 def _cmd_evaluate(args, config: dict) -> int:
@@ -450,7 +462,7 @@ def _cmd_evaluate(args, config: dict) -> int:
         raise _Usage(f"unknown evaluation(s): {', '.join(sorted(unknown))}")
     gen_dir = Path(args.generated)
     files = [str(f) for f in sorted(gen_dir.glob("*.tokens"))]
-    songs = _map_jobs(_decode_file, files, _cfg(args, config, "jobs", 1, as_whole))
+    songs = _map_jobs(_decode_file, files, _setting(args, config, "jobs"))
     if not songs:
         print(f"no token files in {gen_dir}", file=sys.stderr)
         return EXIT_DATA
@@ -549,7 +561,7 @@ def _cmd_detect_chords(args, config: dict) -> int:
     bank = TemplateBank.load(args.bank) if args.bank else ideal_bank()
     for path in _token_files(args.inputs):
         for i, seq in enumerate(iter_corpus(path)):
-            song = decode_sequence(seq, source_id=f"{path.stem}[{i}]")
+            song = _decode(seq, f"{path}[{i}]", f"{path.stem}[{i}]")
             symbols = detect_bar_chords(song, bank)
             print(f"{song.source_id}: {' '.join(symbols)}")
     return EXIT_OK
@@ -575,42 +587,28 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="sympac", description=__doc__)
     parser.add_argument("--config", help="JSON config file merged under explicit flags")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {name: sub.add_parser(name, help=summary) for name, (_, summary) in _COMMANDS.items()}
 
-    p = sub.add_parser("ingest", help="annotation/MIDI files -> token corpus")
+    p = commands["ingest"]
     p.add_argument("inputs", nargs="+", help="files or directories (.json/.jsonl/.mid)")
     p.add_argument("--out", required=True, help="output corpus path")
-    p.add_argument("--genre", help="genre label for MIDI imports (default Pop)")
-    p.add_argument("--jobs", type=int, help="parallel ingestion workers")
 
-    p = sub.add_parser("train", help="token corpus -> n-gram model file")
+    p = commands["train"]
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--order", type=int, help=f"n-gram order (default {DEFAULT_ORDER})")
-    p.add_argument("--discount", type=float, help=f"absolute discount (default {DEFAULT_DISCOUNT})")
 
-    p = sub.add_parser("generate", help="sample token sequences under constraints")
+    p = commands["generate"]
     p.add_argument("--model", help="model file from `train`")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("-n", "--n-samples", type=int, dest="n_samples")
-    p.add_argument("--seed", type=int, help="base RNG seed (env SYMPAC_SEED, then 0)")
-    p.add_argument("--control", help="ControlSpec JSON file")
     p.add_argument("--chords", help='looped progression, e.g. "F,C,G,A:min"')
     p.add_argument("--structure", help='per-bar sections, e.g. "intro*4,verse*8"')
-    p.add_argument("--genre", choices=GENRES, metavar="GENRE")
-    p.add_argument("--bpm-level", type=int, dest="bpm_level", choices=range(8), metavar="0..7")
     p.add_argument("--tracks", help="comma list of allowed tracks")
     p.add_argument("--forced-tracks", dest="forced_tracks", help="tracks required in every bar")
-    p.add_argument("--bars", type=int, help="number of bars to generate")
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--top-k", type=int, dest="top_k")
-    p.add_argument("--top-p", type=float, dest="top_p")
-    p.add_argument("--max-tokens", type=int, dest="max_tokens")
     p.add_argument("--midi", action="store_true", help="also render SMF files")
     p.add_argument("--text", action="store_true", help="also write readable token text")
-    p.add_argument("--jobs", type=int)
     p.add_argument("--from-manifest", dest="from_manifest", help="re-run a recorded generate run")
 
-    p = sub.add_parser("evaluate", help="score generated songs against references")
+    p = commands["evaluate"]
     p.add_argument("--generated", required=True, help="directory of .tokens files")
     p.add_argument("--reference", help="reference token corpus (for kld)")
     p.add_argument("--which", help="comma list from: kld,chords,structure (default kld)")
@@ -618,25 +616,26 @@ def _build_parser() -> _Parser:
     p.add_argument("--structure", help="intended structure (for structure)")
     p.add_argument("--bank", help="chroma template bank JSON (default: ideal triads)")
     p.add_argument("--out-dir", dest="out_dir", help="report directory (default GEN/reports)")
-    p.add_argument("--jobs", type=int)
 
-    p = sub.add_parser("detect-chords", help="print detected chords per bar")
-    p.add_argument("inputs", nargs="+")
-    p.add_argument("--bank")
+    commands["detect-chords"].add_argument("inputs", nargs="+")
+    commands["detect-chords"].add_argument("--bank")
+    commands["validate"].add_argument("inputs", nargs="+")
 
-    p = sub.add_parser("validate", help="grammar-check token files")
-    p.add_argument("inputs", nargs="+")
-
+    for setting in _SETTINGS.values():
+        shown = "" if setting.default is None else f" (default {setting.default})"
+        for command in setting.commands:
+            parse = functools.partial(_checked, setting.text, name="/".join(setting.flags))
+            commands[command].add_argument(*setting.flags, dest=setting.key, type=parse, help=setting.help + shown)
     return parser
 
 
 _COMMANDS = {
-    "ingest": _cmd_ingest,
-    "train": _cmd_train,
-    "generate": _cmd_generate,
-    "evaluate": _cmd_evaluate,
-    "detect-chords": _cmd_detect_chords,
-    "validate": _cmd_validate,
+    "ingest": (_cmd_ingest, "annotation/MIDI files -> token corpus"),
+    "train": (_cmd_train, "token corpus -> n-gram model file"),
+    "generate": (_cmd_generate, "sample token sequences under constraints"),
+    "evaluate": (_cmd_evaluate, "score generated songs against references"),
+    "detect-chords": (_cmd_detect_chords, "print detected chords per bar"),
+    "validate": (_cmd_validate, "grammar-check token files"),
 }
 
 
@@ -645,7 +644,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _load_config(args.config)
-        return _COMMANDS[args.command](args, config)
+        return _COMMANDS[args.command][0](args, config)
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

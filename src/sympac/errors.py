@@ -28,18 +28,21 @@ class DecodeError(SympacError):
     is wrong there, and the token kinds that would have been legal there
     (``expected``; empty when the token has the right kind but breaks an
     order or a prompt-bar match).  ``str()`` gives
-    ``token <index>: <message>``.  ``encoding.validate`` returns the same
-    error that ``encoding.decode_sequence`` raises.
+    ``token <index>: <message>``, after ``<source>: `` when the error
+    names the ``source`` it was read from, such as ``a.tokens[0]``.
+    ``encoding.validate`` returns the same error that
+    ``encoding.decode_sequence`` raises.
     """
 
-    def __init__(self, index: int, message: str, expected: tuple[str, ...] = ()):
+    def __init__(self, index: int, message: str, expected: tuple[str, ...] = (), source: str = ""):
         self.index = index
         self.message = message
         self.expected = expected
-        super().__init__(f"token {index}: {message}")
+        self.source = source
+        super().__init__(f"{source}: token {index}: {message}" if source else f"token {index}: {message}")
 
     def __reduce__(self):  # ``args`` holds only the text; pickle rebuilds from the fields
-        return type(self), (self.index, self.message, self.expected)
+        return type(self), (self.index, self.message, self.expected, self.source)
 
 
 class ControlError(SympacError):

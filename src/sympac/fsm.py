@@ -52,10 +52,16 @@ from .vocab import (
     as_whole,
     build_vocab,
     normalize_chord_symbol,
+    parse_whole,
 )
 
 # Safety rail: a track part closes once it holds this many note groups.
 MAX_NOTES_PER_PART = 128
+
+# A control names at most this many bars (2**16 bars is about 36 h at 120
+# bpm), checked on its counts before any list of labels is built: a
+# 40-byte control file must not ask for gigabytes.
+MAX_BARS = 1 << 16
 
 _N_DRUMS = VOCAB_SIZE - DRUM_BASE
 _DRUMS_TRACK = len(TRACKS) - 1
@@ -115,14 +121,18 @@ def _track_bits(labels) -> int:
     return sum(1 << TRACKS.index(label) for label in labels)
 
 
-def _section_run(label: str, n: int) -> list[str]:
-    """``n`` bars of section ``label``."""
-    if n < 1:
-        raise ControlError(f"bar count must be >= 1 in structure, got {n}")
-    try:
-        return [label] * n
-    except (OverflowError, MemoryError):
-        raise ControlError(f"bar count {n} in structure is too large") from None
+def _sections(runs: list[tuple[str, int]]) -> list[str]:
+    """One section label per bar of the ``(label, bars)`` runs.  The bar
+    counts are checked, MAX_BARS in total, before the list is built."""
+    for _, n in runs:
+        if n < 1:
+            raise ControlError(f"bar count must be >= 1 in structure, got {n}")
+    total = sum(n for _, n in runs)
+    if total > MAX_BARS:
+        raise ControlError(
+            f"bar count {total} in structure is too large; at most {MAX_BARS} bars are supported"
+        )
+    return [label for label, n in runs for _ in range(n)]
 
 
 def parse_chords_arg(text: str) -> tuple[str, ...]:
@@ -135,7 +145,7 @@ def parse_chords_arg(text: str) -> tuple[str, ...]:
 
 def parse_structure_arg(text: str) -> tuple[str, ...]:
     """Expand ``intro*4,verse*8,...`` into one section label per bar."""
-    sections: list[str] = []
+    runs: list[tuple[str, int]] = []
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -148,13 +158,12 @@ def parse_structure_arg(text: str) -> tuple[str, ...]:
         if label not in SECTIONS:
             raise ControlError(f"unknown section label {label!r}")
         try:
-            n = int(count)
+            runs.append((label, parse_whole(count)))
         except ValueError:
             raise ControlError(f"bad bar count {count!r} in structure") from None
-        sections += _section_run(label, n)
-    if not sections:
+    if not runs:
         raise ControlError("empty structure")
-    return tuple(sections)
+    return tuple(_sections(runs))
 
 
 @dataclass(frozen=True)
@@ -195,12 +204,14 @@ class ControlSpec:
                     raise ControlError(f"{name} must be an integer, got {value!r}") from None
         if self.bpm_level is not None and not 0 <= self.bpm_level < len(BPM_LABELS):
             raise ControlError(f"bpm_level must be 0..7, got {self.bpm_level}")
-        if self.n_bars is not None and self.n_bars < 1:
-            raise ControlError(f"n_bars must be >= 1, got {self.n_bars}")
+        if self.n_bars is not None and not 1 <= self.n_bars <= MAX_BARS:
+            raise ControlError(f"n_bars must be 1..{MAX_BARS}, got {self.n_bars}")
         if self.sections is not None:
             object.__setattr__(self, "sections", tuple(self.sections))
             if not self.sections:
                 raise ControlError("sections must be non-empty when given")
+            if len(self.sections) > MAX_BARS:
+                raise ControlError(f"{len(self.sections)} sections are too many; at most {MAX_BARS}")
             for label in self.sections:
                 if label not in SECTIONS:
                     raise ControlError(f"unknown section label {label!r}")
@@ -233,8 +244,8 @@ class ControlSpec:
                         f"chord_schedule entries must be (bar, step, symbol) with whole "
                         f"bar and step numbers, got {entry!r}"
                     ) from None
-                if bar < 0:
-                    raise ControlError(f"chord_schedule bar must be >= 0, got {bar}")
+                if not 0 <= bar < MAX_BARS:
+                    raise ControlError(f"chord_schedule bar must be 0..{MAX_BARS - 1}, got {bar}")
                 if not 0 <= step < N_STEPS:
                     raise ControlError(f"chord_schedule step must be 0..15, got {step}")
                 normalized.append((bar, step, _canonical_chord(symbol)))
@@ -328,17 +339,17 @@ class ControlSpec:
                 raise ControlError(f"{key} must be an array")
             return value
 
-        runs = array("structure")
-        sections = None if runs is None else []
-        for entry in runs or ():
+        structure = array("structure")
+        runs = []
+        for entry in structure or ():
             if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                 raise ControlError("structure entries must be [label, bars] pairs")
             label, bars = entry
             try:
-                n = as_whole(bars)
+                runs.append((label, as_whole(bars)))
             except ValueError:
                 raise ControlError(f"bad bar count {bars!r} in structure") from None
-            sections += _section_run(label, n)
+        sections = None if structure is None else _sections(runs)
         return cls(
             genre=doc.get("genre"),
             bpm_level=doc.get("bpm_level"),

@@ -8,7 +8,9 @@ across runs and platforms.
 
 from __future__ import annotations
 
+import math
 import numbers
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -224,6 +226,30 @@ def as_real(value) -> float:
     if not (type(value) is float or (isinstance(value, numbers.Real) and type(value) is not bool)):
         raise ValueError(f"not a real number: {value!r}")
     return float(value)
+
+
+_WHOLE_TEXT = re.compile(r"[+-]?[0-9]+")
+_REAL_TEXT = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def parse_whole(text: str) -> int:
+    """The whole number ``text`` writes: ASCII digits with an optional sign, as
+    in ``12`` or ``-3``.  A digit separator, a space, a non-ASCII digit or an
+    exponent raises ValueError."""
+    if not _WHOLE_TEXT.fullmatch(text):
+        raise ValueError(f"not a whole number: {text!r}")
+    return int(text)
+
+
+def parse_real(text: str) -> float:
+    """The finite real number ``text`` writes as an ASCII decimal literal, as in
+    ``0.9``, ``.5``, ``2`` or ``1e-3``.  ``nan``, ``inf``, a literal too large
+    for a float, a digit separator or a space raises ValueError."""
+    if _REAL_TEXT.fullmatch(text):
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    raise ValueError(f"not a real number: {text!r}")
 
 
 def as_id(value) -> int:

@@ -69,7 +69,8 @@ def test_ingest_all_failures_exit_data(tmp_path, capsys):
     assert rc == 2
 
 
-def test_ingest_parallel_matches_serial(workspace):
+def test_ingest_parallel_matches_serial(workspace, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # three workers on any host
     rc = main(["ingest", str(workspace), "--out", str(workspace / "serial.bin")])
     assert rc == 0
     rc = main(["ingest", str(workspace), "--out", str(workspace / "parallel.bin"), "--jobs", "3"])
@@ -163,7 +164,8 @@ def test_an_explicit_seed_wins_over_a_malformed_environment_seed(trained, monkey
     assert (trained / "g1" / name).read_bytes() == (trained / "g2" / name).read_bytes()
 
 
-def test_generate_parallel_matches_serial(trained):
+def test_generate_parallel_matches_serial(trained, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # two workers on any host
     base = [
         "generate", "--model", str(trained / "model.bin"), "-n", "3",
         "--seed", "4", "--bars", "2",
@@ -203,6 +205,7 @@ def test_generate_parallel_leaves_the_model_to_the_workers(trained, monkeypatch)
 
     # Worker processes load through their own copy of the module, and of `loads`.
     monkeypatch.setattr(cli, "load_model_file", counting_load)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # two workers on any host
     assert main([
         "generate", "--model", str(trained / "model.bin"), "--out-dir", str(trained / "gp"),
         "-n", "2", "--jobs", "2", "--bars", "1",
@@ -210,7 +213,8 @@ def test_generate_parallel_leaves_the_model_to_the_workers(trained, monkeypatch)
     assert loads == []
 
 
-def test_generate_parallel_reports_a_bad_model(trained, capsys):
+def test_generate_parallel_reports_a_bad_model(trained, monkeypatch, capsys):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # two workers on any host
     blob = (trained / "model.bin").read_bytes()
     (trained / "model.bin").write_bytes(blob[:-5])
     capsys.readouterr()
@@ -222,6 +226,108 @@ def test_generate_parallel_reports_a_bad_model(trained, capsys):
     err = capsys.readouterr().err
     assert "truncated model stream" in err
     assert "BrokenProcessPool" not in err
+
+
+class _RecordingPool:
+    """Stands in for ``concurrent.futures.ProcessPoolExecutor``: records the
+    worker count it is asked for and maps in this process, starting none."""
+
+    asked: list[int] = []
+
+    def __init__(self, max_workers, initializer=None, initargs=()):
+        self.asked.append(max_workers)
+        if initializer is not None:
+            initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs, items, cpus, asked",
+    [(2, 5, 8, [2]), (10**5, 3, 8, [3]), (10**5, 20, 8, [8]), (10**5, 20, None, []), (3, 1, 8, [])],
+)
+def test_the_worker_count_is_clamped_to_the_items_and_the_cpus(monkeypatch, jobs, items, cpus, asked):
+    import concurrent.futures
+
+    import sympac.cli as cli
+
+    monkeypatch.setattr(_RecordingPool, "asked", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert cli._map_jobs(str, range(items), jobs) == [str(i) for i in range(items)]
+    assert _RecordingPool.asked == asked
+
+
+def test_a_huge_jobs_flag_asks_for_one_worker_per_sample(trained, monkeypatch):
+    import concurrent.futures
+
+    import sympac.cli as cli
+
+    monkeypatch.setattr(_RecordingPool, "asked", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cli, "_worker_run", None)  # restored after the in-process initializer
+    assert main([
+        "generate", "--model", str(trained / "model.bin"), "--out-dir", str(trained / "g"),
+        "-n", "3", "--jobs", "100000", "--bars", "1",
+    ]) == 0
+    assert _RecordingPool.asked == [3]
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["ingest", "generate", "evaluate"])
+def test_fewer_than_one_job_exits_one_and_writes_nothing(trained, capsys, command, source, jobs):
+    argv = {
+        "ingest": ["ingest", str(trained), "--out", str(trained / "out" / "c.bin")],
+        "generate": ["generate", "--model", str(trained / "model.bin"), "--out-dir", str(trained / "out")],
+        "evaluate": ["evaluate", "--generated", str(trained), "--which", "chords", "--chords", "C",
+                     "--out-dir", str(trained / "out")],
+    }[command]
+    if command == "evaluate":
+        assert main(["generate", "--model", str(trained / "model.bin"), "--out-dir", str(trained),
+                     "--bars", "1"]) == 0
+    if source == "flag":
+        argv += ["--jobs", str(jobs)]
+    else:
+        (trained / "cfg.json").write_text(json.dumps({"jobs": jobs}))
+        argv = ["--config", str(trained / "cfg.json"), *argv]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: jobs must be at least 1, got {jobs}\n"
+    assert not (trained / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--structure", "verse*1000000000"], ["--structure", "verse*65537"],
+     ["--structure", "intro*65536,verse"], ["--bars", "65537"]],
+)
+def test_a_control_past_the_bar_bound_exits_one_and_writes_nothing(trained, capsys, flags):
+    capsys.readouterr()
+    assert main([
+        "generate", "--model", str(trained / "model.bin"), "--out-dir", str(trained / "out"), *flags,
+    ]) == 1
+    assert capsys.readouterr().err.startswith("control error: ")
+    assert not (trained / "out").exists()
+
+
+def test_a_control_at_the_bar_bound_runs(trained):
+    (trained / "ctrl.json").write_text(json.dumps({"structure": [["verse", 65535], ["outro", 1]]}))
+    for flags in (["--structure", "verse*65536"], ["--control", str(trained / "ctrl.json")]):
+        assert main([
+            "generate", "--model", str(trained / "model.bin"), "--out-dir", str(trained / "out"),
+            "--max-tokens", "3", *flags,
+        ]) == 0
+        manifest = json.loads((trained / "out" / "manifest.json").read_text())
+        assert sum(n for _, n in manifest["run"]["control"]["structure"]) == 65536
 
 
 def test_generate_needs_a_sample(trained):
@@ -448,7 +554,7 @@ def test_config_values_of_the_wrong_type_exit_one(trained, monkeypatch, capsys, 
         ["--temperature", "0"],
         ["--top-k", "0"],
         ["--top-p", "1.5"],
-        ["--temperature", "nan"],
+        ["--max-tokens", "1"],
         ["--seed", "-3"],
     ],
 )

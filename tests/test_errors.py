@@ -1,6 +1,7 @@
 """Every error sympac raises crosses a process boundary intact: a worker's
 error reaches the parent with its type, its attributes and its message."""
 
+import os
 import pickle
 
 import pytest
@@ -16,7 +17,7 @@ _INSTANCES = [
     errors.UnsupportedFormatError("SMF format 2"),
     errors.ValidationError("beats[3]: times must be strictly increasing"),
     errors.EmptySongError("no notes"),
-    errors.DecodeError(1, "expected genre after bar, found end_of_prompt", ("genre",)),
+    errors.DecodeError(1, "expected genre after bar, found end_of_prompt", ("genre",), "g/s.tokens[0]"),
     errors.ControlError("unknown genre 'Polka'"),
     errors.ConstraintConflictError(7, "chord", "chords=C:maj"),
     errors.ModelFormatError("bad magic; not a model file"),
@@ -42,13 +43,17 @@ def test_every_error_pickles_with_its_type_attributes_and_message(error):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_a_worker_decode_error_reports_like_a_serial_one(tmp_path, capsys, jobs):
+def test_a_worker_decode_error_reports_like_a_serial_one(tmp_path, monkeypatch, capsys, jobs):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers under --jobs 2 on any host
     for name in ("a", "b"):
         write_token_file(tmp_path / f"{name}.tokens", [0, 1])
-    capsys.readouterr()
+    assert main(["validate", str(tmp_path)]) == 2
+    named = f"{tmp_path / 'a.tokens'}[0]: token 1: expected genre after bar, found end_of_prompt"
+    assert capsys.readouterr().out.splitlines()[0] == named
     assert main([
         "evaluate", "--generated", str(tmp_path), "--which", "chords", "--chords", "C",
         "--jobs", jobs,
     ]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: token 1: expected genre after bar, found end_of_prompt\n"
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert main(["detect-chords", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {named}\n"

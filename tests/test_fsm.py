@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sympac.encoding import decode_sequence, encode_song, validate
 from sympac.errors import ConstraintConflictError, ControlError
 from sympac import fsm
 from sympac.fsm import (
+    MAX_BARS,
     ControlSpec,
     build_rules,
     compile_control,
@@ -343,6 +345,52 @@ def test_parse_structure_arg():
     for text in ("verse*" + "9" * 30, "verse*" + "9" * 18):
         with pytest.raises(ControlError, match="too large"):
             parse_structure_arg(text)
+
+
+def test_parse_structure_arg_reads_counts_by_the_whole_text_rule():
+    assert parse_structure_arg(" intro * 2 , verse*+1 ") == ("intro", "intro", "verse")
+    for count in ("1_0", "\u0663", "1e1", "2.0", "0x2", ""):
+        with pytest.raises(ControlError, match="bad bar count"):
+            parse_structure_arg(f"verse*{count}")
+
+
+# each: (a control of ``bars`` bars, or one naming bar ``bars - 1``)
+_BAR_BOUNDS = {
+    "--structure": lambda bars: parse_structure_arg(f"intro*{bars - 1},verse"),
+    "structure": lambda bars: ControlSpec.from_json({"structure": [["intro", bars - 1], ["verse", 1]]}),
+    "sections": lambda bars: ControlSpec(sections=("verse",) * bars),
+    "n_bars": lambda bars: ControlSpec(n_bars=bars),
+    "chord_schedule bar": lambda bars: ControlSpec(chord_schedule=((bars - 1, 0, "C"),)),
+}
+
+
+@pytest.mark.parametrize("control", _BAR_BOUNDS)
+def test_a_control_names_at_most_max_bars(control):
+    _BAR_BOUNDS[control](MAX_BARS)
+    with pytest.raises(ControlError, match=str(MAX_BARS)):
+        _BAR_BOUNDS[control](MAX_BARS + 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: parse_structure_arg(f"verse*{MAX_BARS + 1}"),
+        lambda: parse_structure_arg("verse*1000000000"),
+        lambda: ControlSpec.from_json({"structure": [["verse", MAX_BARS], ["outro", 1]]}),
+        lambda: ControlSpec.from_json({"structure": [["verse", 1e300]]}),
+    ],
+    ids=["--structure", "--structure-huge", "structure", "structure-huge"],
+)
+def test_a_count_past_max_bars_is_refused_before_its_labels_are_built(build):
+    # the labels of MAX_BARS + 1 bars alone would hold 512 KiB of pointers
+    tracemalloc.start()
+    try:
+        with pytest.raises(ControlError, match="too large"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
 
 
 def test_control_json_round_trip():

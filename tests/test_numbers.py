@@ -1,5 +1,10 @@
 """One rule per kind of number, from every source.
 
+Text (a flag, ``SYMPAC_SEED``, a ``--structure`` count) has its own two
+rules, ``vocab.parse_whole`` and ``vocab.parse_real``: ASCII digits with an
+optional sign, and an ASCII decimal literal.  ``tests/test_settings.py``
+runs them through every flag.
+
 A whole number (``vocab.as_whole``) is an integer of any type, or a float
 with an integral value; a real number (``vocab.as_real``) is an int or a
 float of any type.  A bool or a string is neither.  Each field below is
@@ -16,8 +21,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sympac.chroma import TemplateBank
+import sympac.cli as cli
 from sympac.cli import main
 from sympac.encoding import encode_song, write_corpus
 from sympac.errors import ControlError, ParseError, ValidationError
@@ -25,7 +32,7 @@ from sympac.fsm import ControlSpec
 from sympac.ingest import parse_annotations, render_annotations, serialize_annotations
 from sympac.lm import NgramModel, save_model, train_ngram
 from sympac.sampler import SamplerConfig
-from sympac.vocab import as_id, as_real, as_whole
+from sympac.vocab import as_id, as_real, as_whole, parse_real, parse_whole
 from synthcorpus import chord_following_song
 
 _CORPUS = [encode_song(chord_following_song(np.random.default_rng(5), n_bars=4))]
@@ -67,6 +74,45 @@ def test_a_real_number_is_a_python_float(value):
 def test_anything_else_is_not_a_real_number(value):
     with pytest.raises(ValueError, match="not a real number"):
         as_real(value)
+
+
+_NON_ASCII_DIGITS = st.characters(categories=("Nd",)).filter(lambda c: not c.isascii())
+_WHITESPACE = st.sampled_from([chr(c) for c in range(0x3001) if chr(c).isspace()])
+
+
+@given(st.integers())
+def test_the_whole_text_rule_reads_every_int_it_writes(n):
+    whole = parse_whole(str(n))
+    assert whole == n and type(whole) is int
+
+
+@given(st.integers(), st.data())
+def test_the_whole_text_rule_refuses_separators_spaces_and_other_digits(n, data):
+    text = str(n)
+    at = data.draw(st.integers(0, len(text)))
+    insert = data.draw(st.just("_") | _NON_ASCII_DIGITS)
+    space = data.draw(_WHITESPACE)
+    for refused in (text[:at] + insert + text[at:], space + text, text + space):
+        with pytest.raises(ValueError, match="not a whole number"):
+            parse_whole(refused)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_the_real_text_rule_reads_every_finite_float_it_writes(x):
+    real = parse_real(repr(x))
+    assert repr(real) == repr(x) and type(real) is float  # repr tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("text", [" \u0663 ", "1e3", "3.0", "+", "", "0x10", "3\n"])
+def test_the_whole_text_rule_refuses_what_int_takes_or_a_float_spells(text):
+    with pytest.raises(ValueError, match="not a whole number"):
+        parse_whole(text)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-Infinity", "1e400", "1_0.5", " 1", "\u0661.5", ".", "e3", "0x1p0"])
+def test_the_real_text_rule_refuses_what_float_takes_beyond_a_finite_literal(text):
+    with pytest.raises(ValueError, match="not a real number"):
+        parse_real(text)
 
 
 def test_a_token_id_is_never_a_float():
@@ -262,6 +308,7 @@ def _refused_by_config(project, tmp_path, capsys, key, values):
 
 # key: the value (max_tokens 3 truncates every sample, which writes outputs too)
 _WHOLE_IN_CONFIG = {"jobs": 2, "order": 3, "seed": 3, "n_samples": 3, "top_k": 3, "max_tokens": 3}
+_REAL_IN_CONFIG = ["temperature", "top_p", "discount"]
 
 
 @pytest.mark.parametrize("key", _WHOLE_IN_CONFIG)
@@ -271,7 +318,7 @@ def test_config_files_take_whole_numbers_and_refuse_the_rest(project, tmp_path, 
     _refused_by_config(project, tmp_path, capsys, key, _refused_wholes(good))
 
 
-@pytest.mark.parametrize("key", ["temperature", "top_p", "discount"])
+@pytest.mark.parametrize("key", _REAL_IN_CONFIG)
 def test_config_files_take_real_numbers_and_refuse_the_rest(project, tmp_path, capsys, key):
     # the discount lies in (0, 1), so no int is one
     _same_outputs(project, tmp_path, key, [0.9] if key == "discount" else [1, 1.0])
@@ -316,6 +363,19 @@ def _manifest_cases(manifest, tmp_path, capsys, field, goods, refused):
 
 # manifest field: the value it records
 _WHOLE_IN_MANIFESTS = {"seed": 3, "n_samples": 3, "sampler.top_k": 3, "sampler.max_tokens": 20000}
+_REAL_IN_MANIFESTS = ["sampler.temperature", "sampler.top_p"]
+
+
+def test_these_cases_cover_every_number_setting_of_the_cli_table():
+    rows = cli._SETTINGS.values()
+
+    def field(row):  # the manifest field it is read back from
+        return row.key if row.manifest == "run" else f"{row.manifest}.{row.key}"
+
+    assert set(_WHOLE_IN_CONFIG) == {row.key for row in rows if row.json is as_whole}
+    assert set(_REAL_IN_CONFIG) == {row.key for row in rows if row.json is as_real}
+    assert set(_WHOLE_IN_MANIFESTS) == {field(row) for row in rows if row.json is as_whole and row.manifest}
+    assert set(_REAL_IN_MANIFESTS) == {field(row) for row in rows if row.json is as_real and row.manifest}
 
 
 @pytest.mark.parametrize("field", _WHOLE_IN_MANIFESTS)
@@ -324,7 +384,7 @@ def test_manifests_take_whole_numbers_and_refuse_the_rest(manifest, tmp_path, ca
     _manifest_cases(manifest, tmp_path, capsys, field, [good, float(good)], _refused_wholes(good))
 
 
-@pytest.mark.parametrize("field", ["sampler.temperature", "sampler.top_p"])
+@pytest.mark.parametrize("field", _REAL_IN_MANIFESTS)
 def test_manifests_take_real_numbers_and_refuse_the_rest(manifest, tmp_path, capsys, field):
     _manifest_cases(manifest, tmp_path, capsys, field, [1, 1.0], [True, "0.9"])
 
